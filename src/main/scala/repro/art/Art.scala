@@ -361,7 +361,13 @@ object Art {
   * over the suffix starting at `off`.
   */
 final class ArtDictIndex private (art: Art) extends DictIndex {
-  override def lookup(key: Array[Byte], off: Int): Int = art.floor(key, off).value.toInt
+  override def lookup(key: Array[Byte], off: Int): Int = {
+    val leaf = art.floor(key, off)
+    if (leaf == null)
+      throw new IllegalStateException(
+        s"no dictionary boundary at or below key ${Bytes.hex(key)} from offset $off")
+    leaf.value.toInt
+  }
   override def memoryBytes: Long = art.dictMemoryBytes
   override def name: String = "art"
 }

@@ -2,82 +2,72 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-/** The bitmap-trie dictionary of §4.2/Figure 6, used by 3-Grams and 4-Grams.
+/** The bitmap-trie dictionary of §4.2/Figure 6, used by 3-Grams and 4-Grams,
+  * in a leaf-free layout after SuRF's LOUDS-Dense (Zhang et al., SIGMOD'18).
   *
-  * Nodes live in a BFS array; each node holds a 256-bit bitmap of its branch
-  * labels, the array index of its first child (children are contiguous in BFS
-  * order, addressed by `childBase + popcount(bitmap, label)`), the entry-index
-  * range of the boundaries in its subtree, and an optional terminal entry
-  * (a boundary that ends exactly at this node — the paper's borrowed-MSB ∅
-  * marker). Floor lookup walks at most `maxDepth` levels.
+  * Only nodes with children are stored, numbered in BFS order (root = 0), so
+  * the inner children of a node are contiguous. Per node `n`, words
+  * `4n .. 4n+3` of `labels` are the 256-bit bitmap of its branch labels and
+  * the same words of `inner` mark which of those children have children of
+  * their own (LOUDS-Dense D-HasChild). Childless children are not stored.
+  *
+  * Every node owns `k + 1` consecutive slots of `fences`, for its `k` labels:
+  * slot `i` is the first entry of the subtree under the `i`-th label, and the
+  * extra last slot is one past the node's last entry. So the child under a
+  * label covers the entries from its own slot up to the next slot − 1. A
+  * boundary ending exactly at a node is that subtree's first entry, so it
+  * needs no field of its own.
+  *
+  * `fenceBase(n)` is the node's first fence slot and `innerBase(n)` the id of
+  * its first inner child. Bytes `4n + w` of `fenceCum` and `innerCum` hold
+  * the popcount of the bitmap words below `w` (at most 192, read unsigned),
+  * so ranking a label reads a base, one prefix count and one word.
+  *
+  * Floor lookup walks at most `maxDepth` levels and ends in one of three ways:
+  * on a childless child (its first entry is the answer), on a missing label
+  * (the answer is the entry just below the next child's subtree, or the
+  * node's last entry), or at the end of the key (the entry just below the
+  * node's first child: the boundary that ends at the node, if any).
   */
 final class BitmapTrie private (
-    bitmaps: Array[Long],      // 4 words per node
-    childBase: Array[Int],
-    firstEntry: Array[Int],
-    lastEntry: Array[Int],
-    terminal: Array[Int],      // entry index or -1
+    labels: Array[Long],    // 4 words per stored node
+    inner: Array[Long],     // 4 words per stored node
+    fenceBase: Array[Int],  // 1 per stored node
+    innerBase: Array[Int],  // 1 per stored node
+    fenceCum: Array[Byte],  // 4 per stored node
+    innerCum: Array[Byte],  // 4 per stored node
+    fences: Array[Int],     // labels + 1 per stored node
     val maxDepth: Int,
 ) extends DictIndex {
 
-  @inline private def has(node: Int, b: Int): Boolean =
-    (bitmaps(node * 4 + (b >>> 6)) & (1L << (b & 63))) != 0
-
-  /** Number of set bits strictly below `b` in the node's bitmap. */
-  @inline private def rankBelow(node: Int, b: Int): Int = {
-    val base = node * 4
-    var r = 0
-    var w = 0
-    val full = b >>> 6
-    while (w < full) { r += java.lang.Long.bitCount(bitmaps(base + w)); w += 1 }
-    if ((b & 63) != 0) r += java.lang.Long.bitCount(bitmaps(base + full) & ((1L << (b & 63)) - 1))
-    r
-  }
-
-  /** Largest set bit strictly below `b`, or -1. */
-  private def largestBelow(node: Int, b: Int): Int = {
-    val base = node * 4
-    var w = b >>> 6
-    var mask = if ((b & 63) == 0) 0L else bitmaps(base + w) & ((1L << (b & 63)) - 1)
-    while (true) {
-      if (mask != 0) return (w << 6) + 63 - java.lang.Long.numberOfLeadingZeros(mask)
-      w -= 1
-      if (w < 0) return -1
-      mask = bitmaps(base + w)
-    }
-    -1
-  }
-
   override def lookup(key: Array[Byte], off: Int): Int = {
     var node = 0
-    var depth = 0
-    var best = -1
-    while (true) {
-      if (terminal(node) >= 0) best = terminal(node)
-      if (off + depth >= key.length) return best
-      val b = key(off + depth) & 0xff
-      if (has(node, b)) {
-        val child = childBase(node) + rankBelow(node, b)
-        // every boundary ordered before the child's subtree is < the key
-        if (firstEntry(child) > 0) best = firstEntry(child) - 1
-        node = child
-        depth += 1
-      } else {
-        val l = largestBelow(node, b)
-        return if (l >= 0) lastEntry(childBase(node) + rankBelow(node, l)) else best
-      }
+    var pos = off
+    while (pos < key.length) {
+      val b = key(pos)
+      val w = (node << 2) + ((b & 0xff) >>> 6)
+      val bit = 1L << b // a shift counts only the low 6 bits of `b`
+      val below = bit - 1
+      val l = labels(w)
+      val slot = fenceBase(node) + (fenceCum(w) & 0xff) + java.lang.Long.bitCount(l & below)
+      // no child at `b`: every subtree before `slot` is below the key
+      if ((l & bit) == 0) return fences(slot) - 1
+      val in = inner(w)
+      if ((in & bit) == 0) return fences(slot)
+      node = innerBase(node) + (innerCum(w) & 0xff) + java.lang.Long.bitCount(in & below)
+      pos += 1
     }
-    best // unreachable
+    fences(fenceBase(node)) - 1
   }
 
-  override def memoryBytes: Long = {
-    val nodes = childBase.length.toLong
-    nodes * (32 + 4 + 4 + 4 + 4) // bitmap + childBase + first/last + terminal
-  }
+  override def memoryBytes: Long =
+    8L * (labels.length + inner.length) + 4L * (fenceBase.length + innerBase.length + fences.length) +
+      fenceCum.length + innerCum.length
 
   override def name: String = s"bitmap-trie-$maxDepth"
 
-  def nodeCount: Int = childBase.length
+  /** Nodes of the trie, childless ones included: the root plus one per edge. */
+  def nodeCount: Int = 1 + fences.length - fenceBase.length
 }
 
 object BitmapTrie {
@@ -85,41 +75,54 @@ object BitmapTrie {
   /** Build from the sorted boundary array (lengths ≤ maxDepth). */
   def apply(boundaries: Array[Array[Byte]], maxDepth: Int): BitmapTrie = {
     require(boundaries.forall(_.length <= maxDepth), s"boundary longer than $maxDepth")
-    val bitmaps    = new ArrayBuffer[Long]()
-    val childBase  = new ArrayBuffer[Int]()
-    val firstE     = new ArrayBuffer[Int]()
-    val lastE      = new ArrayBuffer[Int]()
-    val term       = new ArrayBuffer[Int]()
+    val labels    = new ArrayBuffer[Long]()
+    val inner     = new ArrayBuffer[Long]()
+    val fenceBase = new ArrayBuffer[Int]()
+    val innerBase = new ArrayBuffer[Int]()
+    val fenceCum  = new ArrayBuffer[Byte]()
+    val innerCum  = new ArrayBuffer[Byte]()
+    val fences    = new ArrayBuffer[Int]()
 
-    // BFS queue of (entry range [lo, hi), depth); each element becomes a node.
+    // BFS queue of the nodes with children: (entry range [lo, hi), depth)
     final case class Task(lo: Int, hi: Int, depth: Int)
     val queue = scala.collection.mutable.Queue(Task(0, boundaries.length, 0))
+    var nodes = 1 // ids handed out so far
     while (queue.nonEmpty) {
       val Task(lo, hi, depth) = queue.dequeue()
-      val id = childBase.length
-      bitmaps ++= Seq(0L, 0L, 0L, 0L)
-      childBase += 0
-      firstE += lo
-      lastE += hi - 1
+      val id = labels.length / 4
+      labels ++= Seq(0L, 0L, 0L, 0L)
+      inner ++= Seq(0L, 0L, 0L, 0L)
+      fenceBase += fences.length
+      innerBase += nodes
       var i = lo
-      var t = -1
-      if (i < hi && boundaries(i).length == depth) { t = i; i += 1 }
-      term += t
-      // group remaining boundaries by byte at `depth`
-      val childTasks = new ArrayBuffer[Task]()
+      if (i < hi && boundaries(i).length == depth) i += 1 // the boundary ending here
+      // group the remaining boundaries by their byte at `depth`
       while (i < hi) {
         val b = boundaries(i)(depth) & 0xff
         var j = i + 1
         while (j < hi && (boundaries(j)(depth) & 0xff) == b) j += 1
-        bitmaps(id * 4 + (b >>> 6)) |= 1L << (b & 63)
-        childTasks += Task(i, j, depth + 1)
+        labels(id * 4 + (b >>> 6)) |= 1L << b
+        fences += i
+        if (j - i > 1 || boundaries(i).length > depth + 1) {
+          inner(id * 4 + (b >>> 6)) |= 1L << b
+          queue.enqueue(Task(i, j, depth + 1))
+          nodes += 1
+        }
         i = j
       }
-      // children are appended contiguously in BFS order
-      childBase(id) = childBase.length + queue.size
-      childTasks.foreach(queue.enqueue(_))
+      fences += hi
+      var w = 0
+      var f = 0
+      var c = 0
+      while (w < 4) {
+        fenceCum += f.toByte
+        innerCum += c.toByte
+        f += java.lang.Long.bitCount(labels(id * 4 + w))
+        c += java.lang.Long.bitCount(inner(id * 4 + w))
+        w += 1
+      }
     }
-    new BitmapTrie(bitmaps.toArray, childBase.toArray, firstE.toArray,
-      lastE.toArray, term.toArray, maxDepth)
+    new BitmapTrie(labels.toArray, inner.toArray, fenceBase.toArray, innerBase.toArray,
+      fenceCum.toArray, innerCum.toArray, fences.toArray, maxDepth)
   }
 }

@@ -8,7 +8,8 @@ final case class BuildStats(symbolSelectMs: Double, codeAssignMs: Double,
 
 /** A built HOPE compressor: interval dictionary + codes + hot-path encoder.
   * Serializable so Spark can broadcast it to executors for per-partition
-  * encoding (the build phase runs once; the encode phase is stateless).
+  * encoding (the build phase runs once; encoding keeps only per-thread
+  * scratch space).
   */
 final class BuiltHope(
     val scheme: Scheme,
@@ -21,6 +22,13 @@ final class BuiltHope(
 
   private val symbolLens: Array[Int] = intervals.symbolLens
 
+  {
+    // appendBits writes at most 64 bits; a longer code would corrupt the output
+    val e = codeLens.indexWhere(l => l < 0 || l > 64)
+    require(e < 0, s"entry $e (symbol ${Bytes.hex(intervals.symbols(e))}) has a " +
+      s"${codeLens(e)}-bit code; the encoder packs at most 64 bits per code")
+  }
+
   /** Dictionary memory (structure + code/len arrays) for Figure 8 row 3 and
     * the tree-evaluation memory accounting (HOPE size included, §7.2).
     */
@@ -31,24 +39,22 @@ final class BuiltHope(
   def entries: Int = intervals.size
 
   /** Encode an arbitrary byte string (completeness guarantees progress). */
-  def encode(key: Array[Byte]): Encoded =
-    encodeCore(key, 0, null, 0, -1, null)
+  def encode(key: Array[Byte]): Encoded = {
+    val s = BuiltHope.scratch.get()
+    s.bitPos = 0
+    emit(s, key, 0, key.length)
+    pack(s.words, s.bitPos)
+  }
 
-  /** Unified hot path shared by plain, seeded, and checkpoint-recording
-    * encodes (a single JIT-compiled loop for all of them). Encodes
-    * `key[startOff..)` on top of `seedBits` bits of `seedWords`; when
-    * `recordLimit ≥ 0`, stores the last step boundary with charOffset ≤
-    * recordLimit into `record = [charOff, bitPos]`.
+  /** The hot path of every encode: encodes the symbols of `key` from offset
+    * `from` on while they start below `until`, appending their codes to `s`,
+    * and returns the offset after the last one.
     */
-  private def encodeCore(key: Array[Byte], startOff: Int, seedWords: Array[Long],
-                         seedBits: Int, recordLimit: Int, record: Array[Int]): Encoded = {
-    var words =
-      if (seedWords == null) new Array[Long](math.max(2, key.length / 2))
-      else java.util.Arrays.copyOf(seedWords, math.max(seedWords.length + 2, (seedBits >>> 6) + 2 + key.length / 4))
-    var bitPos = seedBits
-    var off = startOff
-    while (off < key.length) {
-      if (off > startOff && off <= recordLimit) { record(0) = off; record(1) = bitPos }
+  private def emit(s: BuiltHope.Scratch, key: Array[Byte], from: Int, until: Int): Int = {
+    var words = s.words
+    var bitPos = s.bitPos
+    var off = from
+    while (off < until) {
       val e = index.lookup(key, off)
       val len = codeLens(e)
       if (((bitPos + len) >>> 6) + 1 > words.length)
@@ -57,27 +63,41 @@ final class BuiltHope(
       bitPos += len
       off += symbolLens(e)
     }
-    pack(words, bitPos)
+    s.words = words
+    s.bitPos = bitPos
+    off
   }
 
   /** Encode `key` with a 0x00 terminator appended — the tree-integration
     * variant whose padded bytes are strictly order- and equality-faithful for
-    * NUL-free keys (see [[Axis]] doc).
+    * NUL-free keys (see [[Axis]] doc). The terminator is virtual: a lookup
+    * with at least `maxBoundaryLen` bytes left cannot reach it, so only the
+    * short tail is copied next to a real 0x00. ALM schemes, whose boundaries
+    * are unbounded, copy the whole key.
     */
   def encodeTerminated(key: Array[Byte]): Encoded = {
-    val k = java.util.Arrays.copyOf(key, key.length + 1)
-    encode(k)
+    val maxB = scheme.maxBoundaryLen
+    if (maxB == Int.MaxValue) return encode(java.util.Arrays.copyOf(key, key.length + 1))
+    val s = BuiltHope.scratch.get()
+    s.bitPos = 0
+    val off = emit(s, key, 0, key.length - maxB + 1)
+    val tail = s.tail(key.length - off + 1)
+    System.arraycopy(key, off, tail, 0, tail.length - 1)
+    tail(tail.length - 1) = 0
+    emit(s, tail, 0, tail.length)
+    pack(s.words, s.bitPos)
   }
 
   /** Sorted-batch encoding (§4.2, Appendix B): each block encodes the shared
-    * prefix once. A reuse point is safe only when every lookup it covers was
-    * decided inside the block's common prefix — i.e. at offsets ≤ LCP −
-    * maxBoundaryLen; ALM schemes (unbounded boundary length) get no benefit,
-    * matching the paper.
+    * prefix once. A lookup at an offset ≤ LCP − maxBoundaryLen reads only the
+    * block's common prefix, so every key of the block starts with the same
+    * codes up to the symbol end after the last such lookup; ALM schemes
+    * (unbounded boundary length) get no benefit, matching the paper.
     */
   def encodeBatchSorted(keys: Array[Array[Byte]], batchSize: Int): Array[Encoded] = {
     val out = new Array[Encoded](keys.length)
     val maxB = scheme.maxBoundaryLen
+    val s = BuiltHope.scratch.get()
     var blockStart = 0
     while (blockStart < keys.length) {
       val blockEnd = math.min(keys.length, blockStart + batchSize)
@@ -85,33 +105,21 @@ final class BuiltHope(
         var i = blockStart
         while (i < blockEnd) { out(i) = encode(keys(i)); i += 1 }
       } else {
-        val lcp = Bytes.lcp(keys(blockStart), keys(blockEnd - 1))
-        // encode the first key, recording the last safe step boundary
-        val record = new Array[Int](2)
-        out(blockStart) = encodeCore(keys(blockStart), 0, null, 0, lcp - maxB + 1, record)
-        val safeOff = record(0)
-        val safeBits = record(1)
-        // seed = the first key's bits up to the checkpoint, zero-padded
-        val seedWords = new Array[Long]((safeBits >>> 6) + 1)
-        var w = 0
-        val src = out(blockStart)
-        while (w * 64 < safeBits) {
-          var v = 0L
-          var b = 0
-          while (b < 8) {
-            val byteIdx = w * 8 + b
-            val byte = if (byteIdx < src.bytes.length) src.bytes(byteIdx) & 0xffL else 0L
-            v = (v << 8) | byte
-            b += 1
-          }
-          seedWords(w) = v
-          w += 1
-        }
-        if ((safeBits & 63) != 0)
-          seedWords(safeBits >>> 6) &= ~((1L << (64 - (safeBits & 63))) - 1)
+        val first = keys(blockStart)
+        s.bitPos = 0
+        val safeOff = emit(s, first, 0, Bytes.lcp(first, keys(blockEnd - 1)) - maxB + 1)
+        val safeBits = s.bitPos
+        // bits after `safeBits` are zero here, or lie in a word no code has
+        // reached yet, which appendBits overwrites on its first write
+        val seed = java.util.Arrays.copyOf(s.words, (safeBits >>> 6) + 1)
+        emit(s, first, safeOff, first.length)
+        out(blockStart) = pack(s.words, s.bitPos)
         var i = blockStart + 1
         while (i < blockEnd) {
-          out(i) = encodeCore(keys(i), safeOff, seedWords, safeBits, -1, null)
+          System.arraycopy(seed, 0, s.words, 0, seed.length)
+          s.bitPos = safeBits
+          emit(s, keys(i), safeOff, keys(i).length)
+          out(i) = pack(s.words, s.bitPos)
           i += 1
         }
       }
@@ -126,14 +134,19 @@ final class BuiltHope(
     (r(0), r(1))
   }
 
+  /** Writes the low `len` bits of `v` at `bitPos`. The first bits written
+    * into a word overwrite it, so the reused buffer needs no clearing.
+    */
   @inline private def appendBits(words: Array[Long], bitPos: Int, v: Long, len: Int): Unit = {
     if (len == 0) return
     val idx = bitPos >>> 6
     val room = 64 - (bitPos & 63)
-    if (len <= room) words(idx) |= (if (room == 64 && len == 64) v else v << (room - len))
-    else {
+    if (len <= room) {
+      val bits = v << (room - len)
+      if (room == 64) words(idx) = bits else words(idx) |= bits
+    } else {
       words(idx) |= v >>> (len - room)
-      words(idx + 1) |= v << (64 - (len - room))
+      words(idx + 1) = v << (64 - (len - room))
     }
   }
 
@@ -166,6 +179,21 @@ final class BuiltHope(
     }
     out.result()
   }
+}
+
+object BuiltHope {
+
+  /** Per-thread encoder state: the word buffer codes are packed into, its
+    * bit count, and the tail arrays of `encodeTerminated`, one per length.
+    */
+  private final class Scratch {
+    var words: Array[Long] = new Array[Long](32)
+    var bitPos: Int = 0
+    private val tails = Array.tabulate(9)(new Array[Byte](_)) // n-Grams need n ≤ 8
+    def tail(n: Int): Array[Byte] = if (n < tails.length) tails(n) else new Array[Byte](n)
+  }
+
+  private val scratch: ThreadLocal[Scratch] = ThreadLocal.withInitial(() => new Scratch)
 }
 
 /** Binary trie mapping prefix-free codes back to entry indices. */

@@ -1,12 +1,13 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.art.ArtDictIndex
+import repro.keys.KeySynth
 
 /** All dictionary structures must agree with the binary-search reference on
   * the floor query, for every scheme's boundary shape.
   */
-class DictIndexSpec extends AnyFunSuite {
+class DictIndexSpec extends SparkSpec {
 
   private val rnd = new scala.util.Random(99)
 
@@ -25,6 +26,29 @@ class DictIndexSpec extends AnyFunSuite {
         s"${idx.name} disagrees on key=${Bytes.hex(key)} off=$off")
     }
   }
+
+  /** Compares `idx` with binary search at every offset of every key. */
+  private def checkEveryOffset(boundaries: Array[Array[Byte]], idx: DictIndex,
+                               keys: Iterable[Array[Byte]]): Unit = {
+    val ref = new SortedArrayIndex(boundaries)
+    for (key <- keys; off <- key.indices) {
+      val (got, want) = (idx.lookup(key, off), ref.lookup(key, off))
+      if (got != want) fail(s"${idx.name} gives $got, not $want, on key=${Bytes.hex(key)} off=$off")
+    }
+  }
+
+  private def bytes(xs: Int*): Array[Byte] = xs.map(_.toByte).toArray
+
+  /** Node count of a trie that stores one node per distinct boundary prefix. */
+  private def prefixCount(boundaries: Array[Array[Byte]]): Int =
+    boundaries.iterator.flatMap(b => (0 to b.length).map(i => Bytes.hex(b.take(i)))).toSet.size
+
+  private lazy val urlKeys = KeySynth.collectKeys(KeySynth.urls(spark, 2000))
+  private lazy val emailKeys = KeySynth.collectKeys(KeySynth.emails(spark, 3000))
+
+  private def gramBoundaries(n: Int, keys: Array[Array[Byte]]): Array[Array[Byte]] =
+    Axis.buildIntervals(SymbolSelect.extraBoundaries(Scheme.NGrams(n, 1 << 16), keys.take(500)))
+      .boundaries
 
   test("SingleCharIndex matches binary search on the 256 singles") {
     val iv = Axis.buildIntervals(Nil)
@@ -55,6 +79,58 @@ class DictIndexSpec extends AnyFunSuite {
     val extras = Seq("a", "ab", "abc", "abd", "ac", "b", "ba").map(Bytes.of)
     val b = Axis.buildIntervals(extras).boundaries
     checkAgainstReference(b, BitmapTrie(b, 3), 3000, 6)
+  }
+
+  for ((data, keys) <- Seq("url" -> (() => urlKeys), "email" -> (() => emailKeys)); n <- Seq(3, 4)) {
+    test(s"BitmapTrie($n) matches binary search at every offset of $data keys (real $n-Grams dictionary)") {
+      val b = gramBoundaries(n, keys())
+      assert(b.length > 1000, s"only ${b.length} boundaries")
+      checkEveryOffset(b, BitmapTrie(b, n), keys())
+    }
+  }
+
+  test("BitmapTrie matches binary search at every offset on edge-case boundaries") {
+    val extras = Seq(
+      bytes(0x00), bytes(0x00, 0x00), bytes(0x00, 0xff, 0x00), bytes(0xff, 0xff), bytes(0xff, 0x00, 0xff),
+      bytes(0x61), bytes(0x61, 0x62), bytes(0x61, 0x62, 0x63), // the prefix chain a / ab / abc
+      bytes(0x78, 0x79),                                         // x: only child y, childless
+      bytes(0x70, 0x71, 0x72),                                   // p → q → r, one child each
+    ) ++ (0 until 256).map(c => bytes(0x6d, c))                  // m: all 256 labels
+    val b = Axis.buildIntervals(extras).boundaries
+    val trie = BitmapTrie(b, 3)
+    // every boundary, each of its prefixes (keys that end mid-path) and each
+    // of its extensions by a low, middle or high byte, plus random keys
+    val probes = b.toSeq.flatMap { x =>
+      (1 to x.length).map(x.take) ++ Seq(0x00, 0x7f, 0xff).map(c => x :+ c.toByte)
+    } ++ Seq.fill(3000)(Array.fill(1 + rnd.nextInt(5))(rnd.nextInt(256).toByte))
+    checkEveryOffset(b, trie, probes)
+    assert(trie.nodeCount == prefixCount(b))
+  }
+
+  test("BitmapTrie.memoryBytes is the size of the arrays it holds") {
+    val trie = BitmapTrie(gramBoundaries(3, urlKeys), 3)
+    val arrays = classOf[BitmapTrie].getDeclaredFields.toSeq.flatMap { f =>
+      f.setAccessible(true)
+      f.get(trie) match {
+        case a: Array[Long] => Some(8L * a.length)
+        case a: Array[Int]  => Some(4L * a.length)
+        case a: Array[Byte] => Some(1L * a.length)
+        case _              => None
+      }
+    }
+    assert(arrays.size >= 2)
+    assert(trie.memoryBytes == arrays.sum)
+  }
+
+  test("BitmapTrie.nodeCount counts one node per distinct boundary prefix") {
+    for (b <- Seq(randBoundaries(500, 4), gramBoundaries(3, urlKeys), gramBoundaries(4, emailKeys)))
+      assert(BitmapTrie(b, 4).nodeCount == prefixCount(b))
+  }
+
+  test("ArtDictIndex: a key below every boundary fails loudly, naming key and offset") {
+    val idx = ArtDictIndex(Array(Bytes.of("m"), Bytes.of("n")))
+    val e = intercept[IllegalStateException](idx.lookup(Bytes.of("xa"), 1))
+    assert(e.getMessage.contains("7861") && e.getMessage.contains("offset 1"), e.getMessage)
   }
 
   test("ArtDictIndex matches binary search on variable-length boundaries") {

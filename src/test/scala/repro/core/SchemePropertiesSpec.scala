@@ -114,6 +114,59 @@ class SchemePropertiesSpec extends AnyFunSuite {
         }
       }
     }
+
+    test(s"${s.name}: encodeTerminated(k) equals encode(k :+ 0) bit for bit") {
+      val keys = Seq(Array.emptyByteArray, Array(0xff.toByte), Array(0.toByte)) ++
+        (1 to 10).flatMap(n => Seq(Array.fill(n)(rnd.nextInt(256).toByte), Array.fill(n)(0xff.toByte),
+          randKey(n, nulFree = true) :+ 0xff.toByte)) ++
+        Seq.fill(500)(randKey(24, nulFree = false)) ++ sample.take(100)
+      for (k <- keys)
+        assert(h.encodeTerminated(k) == h.encode(k :+ 0.toByte), Bytes.hex(k))
+    }
+
+    test(s"${s.name}: 4 threads encoding interleaved keys match one thread") {
+      val keys = (Seq.fill(400)(randKey(40, nulFree = false)) ++ sample.take(200)).toArray
+      val want = keys.map(k => (h.encode(k), h.encodeTerminated(k)))
+      val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+      try {
+        val jobs = (0 until 4).map { t =>
+          pool.submit(new java.util.concurrent.Callable[Seq[Int]] {
+            // thread t walks the keys from its own start, in its own order
+            def call(): Seq[Int] = for {
+              round <- 0 until 5
+              j <- keys.indices
+              i = (t * 97 + j * (2 * t + 1) + round) % keys.length
+              if h.encode(keys(i)) != want(i)._1 || h.encodeTerminated(keys(i)) != want(i)._2
+            } yield i
+          })
+        }
+        for (j <- jobs) assert(j.get().isEmpty, s"thread output differs on keys ${j.get().take(5)}")
+      } finally pool.shutdown()
+    }
+
+    test(s"${s.name}: an encode that throws leaves later encodes exact") {
+      val failing = new BuiltHope(h.scheme, h.intervals, new DictIndex {
+        def lookup(key: Array[Byte], off: Int): Int =
+          if (off > 20) throw new IllegalStateException("lookup failed") else h.index.lookup(key, off)
+        def memoryBytes: Long = 0
+        def name: String = "failing"
+      }, h.codes, h.codeLens, h.stats)
+      val long = Array.fill(64)(0xff.toByte)
+      for (k <- Seq.fill(50)(randKey(20, nulFree = false))) {
+        intercept[IllegalStateException](failing.encode(long))
+        assert(failing.encode(k.take(20)) == h.encode(k.take(20)), Bytes.hex(k))
+        assert(h.encodeTerminated(k) == h.encode(k :+ 0.toByte), Bytes.hex(k))
+      }
+    }
+  }
+
+  test("a code longer than 64 bits is rejected, naming its entry") {
+    val h = built(Scheme.SingleChar.name)
+    val lens = h.codeLens.clone()
+    lens(0x41) = 65
+    val e = intercept[IllegalArgumentException](
+      new BuiltHope(h.scheme, h.intervals, h.index, h.codes, lens, h.stats))
+    assert(e.getMessage.contains("entry 65 (symbol 41)"), e.getMessage)
   }
 
   test("Double-Char dictionary has exactly 65792 entries (256·257)") {

@@ -29,19 +29,8 @@ object BenchBase {
     k.take(math.max(1000, k.length / 100))
   }
 
-  @volatile private var hopeCache = Map.empty[String, repro.core.BuiltHope]
-
-  /** Dictionary cache: Hu-Tucker on 64K entries costs ~10 s, and the bench
-    * matrix would otherwise rebuild identical dictionaries dozens of times.
-    */
-  def hope(ds: String, scheme: Scheme): repro.core.BuiltHope = synchronized {
-    val key = s"$ds/${scheme.name}"
-    hopeCache.getOrElse(key, {
-      val h = repro.core.Hope.build(sample(ds), scheme)
-      hopeCache += key -> h
-      h
-    })
-  }
+  def hope(ds: String, scheme: Scheme): repro.core.BuiltHope =
+    repro.core.Hope.build(sample(ds), scheme)
 
   /** The Figure 8 scheme sweep (dictionary sizes on the x-axis). */
   def fig8Schemes: Seq[Scheme] = Seq(

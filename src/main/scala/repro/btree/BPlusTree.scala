@@ -24,8 +24,6 @@ class BPlusTree(val fanout: Int = 16) {
 
   protected var root: AnyRef = new LeafNode
   private var count = 0
-  protected var leafCount = 1
-  protected var innerCount = 0
 
   def size: Int = count
 
@@ -41,7 +39,6 @@ class BPlusTree(val fanout: Int = 16) {
       r.children += root
       r.children += split._2
       root = r
-      innerCount += 1
     }
   }
 
@@ -62,7 +59,6 @@ class BPlusTree(val fanout: Int = 16) {
             l.keys.remove(mid, l.keys.length - mid)
             l.values.remove(mid, l.values.length - mid)
             r.next = l.next; l.next = r
-            leafCount += 1
             (separator(l.keys.last, r.keys.head), r)
           }
         }
@@ -82,7 +78,6 @@ class BPlusTree(val fanout: Int = 16) {
             r.children ++= in.children.view.slice(mid + 1, in.children.length)
             in.keys.remove(mid, in.keys.length - mid)
             in.children.remove(mid + 1, in.children.length - (mid + 1))
-            innerCount += 1
             (sep, r)
           }
         }
@@ -147,8 +142,6 @@ class BPlusTree(val fanout: Int = 16) {
   /** Leaf key storage cost — Prefix B+tree overrides with truncation. */
   protected def leafKeyBytes(l: LeafNode): Long =
     l.keys.iterator.map(k => 8L + 16L + k.length).sum
-
-  def nodeCounts: (Int, Int) = (leafCount, innerCount)
 
   protected def lowerBound(keys: ArrayBuffer[Array[Byte]], key: Array[Byte]): Int = {
     var lo = 0; var hi = keys.length

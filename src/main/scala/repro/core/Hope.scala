@@ -128,12 +128,6 @@ final class BuiltHope(
     out
   }
 
-  /** Pair-encoding for closed-range queries (Appendix D). */
-  def encodePair(a: Array[Byte], b: Array[Byte]): (Encoded, Encoded) = {
-    val r = encodeBatchSorted(Array(a, b), 2)
-    (r(0), r(1))
-  }
-
   /** Writes the low `len` bits of `v` at `bitPos`. The first bits written
     * into a word overwrite it, so the reused buffer needs no clearing.
     */

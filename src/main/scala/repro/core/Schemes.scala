@@ -241,11 +241,14 @@ object CodeAssign {
     Array.tabulate(n)(i => HuTucker.Code(i.toLong, w))
   }
 
-  /** Optimal order-preserving prefix codes from access counts. Unseen
+  /** Optimal order-preserving prefix codes from access counts, computed by
+    * `HuTucker` (Garsia–Wachs; ~0.5–5 ms for 8K–65K entries). Unseen
     * intervals get a small additive weight so they stay encodable (dictionary
     * completeness) at bounded depth; the total smoothing mass is capped at
     * ~5% of the observed mass so large dictionaries built from small samples
     * (e.g. Double-Char's 65 792 entries) don't drown the real statistics.
+    * The many equal smoothed weights make ties common; any optimal code
+    * among the tied ones may be returned.
     */
   def huTucker(hits: Array[Long]): Array[HuTucker.Code] = {
     val total = hits.foldLeft(0L)(_ + _).toDouble

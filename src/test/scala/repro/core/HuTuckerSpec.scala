@@ -67,17 +67,58 @@ class HuTuckerSpec extends AnyFunSuite {
     assertPrefixFree(c); assertMonotone(c)
   }
 
+  /** Weight shapes that make the code assigner's combined nodes travel far. */
+  private def shaped(n: Int): Seq[(String, Array[Double])] = Seq(
+    "ascending"  -> Array.tabulate(n)(i => i + 1.0),
+    "descending" -> Array.tabulate(n)(i => (n - i).toDouble),
+    "valley"     -> Array.tabulate(n)(i => math.abs(i - n / 2) + 1.0),
+    "peak"       -> Array.tabulate(n)(i => n / 2 - math.abs(i - n / 2) + 1.0),
+  )
+
+  /** Smoothed hit counts as `CodeAssign.huTucker` makes them: most entries
+    * unseen, so many equal small weights, plus a few spikes.
+    */
+  private def tieHeavy(n: Int, rnd: scala.util.Random): Array[Double] = {
+    val hits = Array.fill(n)(if (rnd.nextInt(10) == 0) rnd.nextInt(3) + 1L else 0L)
+    for (_ <- 0 until 1 + n / 20) hits(rnd.nextInt(n)) += rnd.nextInt(1000)
+    val delta = math.max(1e-6, 0.05 * hits.sum.toDouble / n)
+    hits.map(_ + delta)
+  }
+
   test("optimal cost matches DP oracle on random inputs (n ≤ 60)") {
-    val sizes = Seq(2, 3, 4, 5, 7, 10, 13, 21, 34, 60)
-    for (n <- sizes; trial <- 0 until 5) {
+    val random = for (n <- Seq(2, 3, 4, 5, 7, 10, 13, 21, 34, 60); trial <- 0 until 5) yield {
       val rnd = new scala.util.Random(n * 100 + trial)
-      val w = Array.fill(n)(rnd.nextInt(50) + 1.0)
+      s"random n=$n trial=$trial" -> Array.fill(n)(rnd.nextInt(50) + 1.0)
+    }
+    val other = for (n <- Seq(2, 3, 8, 31, 64, 100, 200); trial <- 0 until 3) yield {
+      val rnd = new scala.util.Random(7000 + n * 10 + trial)
+      Seq(
+        s"tie-heavy n=$n trial=$trial"   -> tieHeavy(n, rnd),
+        s"non-integer n=$n trial=$trial" -> Array.fill(n)(math.pow(rnd.nextDouble() * 10 + 0.01, 2)),
+      ) ++ (if (trial == 0) shaped(n).map { case (k, w) => s"$k n=$n" -> w } else Nil)
+    }
+    for ((name, w) <- random ++ other.flatten) {
       val lens = HuTucker.codeLengths(w)
       val got = cost(w, lens)
       val want = HuTucker.optimalCostDp(w)
-      assert(math.abs(got - want) < 1e-9, s"n=$n trial=$trial: got $got want $want (w=${w.toSeq})")
+      assert(math.abs(got - want) <= 1e-12 * want, s"$name: got $got want $want (w=${w.toSeq})")
       val codes = HuTucker.codesFromLengths(lens)
       assertPrefixFree(codes); assertMonotone(codes)
+    }
+  }
+
+  test("monotone, valley and tie-heavy weights at n=65,536 give valid codes within 10 s") {
+    val n = 65536
+    val inputs = shaped(n).filter(_._1 != "peak") ++
+      (0 until 3).map(seed => s"tie-heavy seed=$seed" -> tieHeavy(n, new scala.util.Random(seed)))
+    for ((name, w) <- inputs) {
+      val t0 = System.nanoTime()
+      val lens = HuTucker.codeLengths(w)
+      val secs = (System.nanoTime() - t0) / 1e9
+      assert(secs < 10.0, s"$name took $secs s")
+      HuTucker.codesFromLengths(lens) // must not throw
+      val kraft = lens.map(l => math.pow(2.0, -l)).sum
+      assert(math.abs(kraft - 1.0) < 1e-9, s"$name: Kraft sum $kraft")
     }
   }
 

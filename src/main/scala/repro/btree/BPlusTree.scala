@@ -7,23 +7,36 @@ import scala.collection.mutable.ArrayBuffer
   * and referenced by pointer; the default fanout of 16 models the 256-byte
   * node of the paper (16 × 8-byte key pointer + 8-byte value/child pointer).
   *
+  * Nodes are flat arrays with a fill count `n`, in the cache-conscious layout
+  * of Rao & Ross (SIGMOD 2000): a leaf holds its key pointers and unboxed
+  * `Long` values, an inner node its separator pointers and children. Each
+  * array has one spare slot, so an insert lands first and the node splits
+  * after. Slots past `n` are never read. A split leaves them stale, which
+  * retains nothing: the tree never deletes, and the new sibling references
+  * every moved key and child. Keys are compared with [[Bytes.compare]], the
+  * JVM's `memcmp`, as TLX compares with `memcmp`.
+  *
   * Supports insert, point lookup, and ordered scans from a start key.
   */
 class BPlusTree(val fanout: Int = 16) {
   require(fanout >= 4)
 
   protected final class LeafNode {
-    val keys = new ArrayBuffer[Array[Byte]](fanout)
-    val values = new ArrayBuffer[Long](fanout)
+    val keys = new Array[Array[Byte]](fanout + 1)
+    val values = new Array[Long](fanout + 1)
+    var n = 0
     var next: LeafNode = _
   }
   protected final class InnerNode {
-    val keys = new ArrayBuffer[Array[Byte]](fanout) // separator i splits child i / i+1
-    val children = new ArrayBuffer[AnyRef](fanout + 1)
+    val keys = new Array[Array[Byte]](fanout + 1) // separator i splits child i / i+1
+    val children = new Array[AnyRef](fanout + 2)
+    var n = 0 // separators; the node has n + 1 children
   }
 
   protected var root: AnyRef = new LeafNode
   private var count = 0
+  /** Separator of the last split that [[insertRec]] reported. */
+  private var splitKey: Array[Byte] = _
 
   def size: Int = count
 
@@ -32,84 +45,90 @@ class BPlusTree(val fanout: Int = 16) {
     rightFirst
 
   def insert(key: Array[Byte], value: Long): Unit = {
-    val split = insertRec(root, key, value)
-    if (split != null) {
+    val right = insertRec(root, key, value)
+    if (right != null) {
       val r = new InnerNode
-      r.keys += split._1
-      r.children += root
-      r.children += split._2
+      r.keys(0) = splitKey
+      r.children(0) = root
+      r.children(1) = right
+      r.n = 1
       root = r
     }
   }
 
-  /** Returns (separator, newRightSibling) when the child split, else null. */
-  private def insertRec(node: AnyRef, key: Array[Byte], value: Long): (Array[Byte], AnyRef) =
+  /** Returns the new right sibling when `node` split, its separator in
+    * [[splitKey]]; else null.
+    */
+  private def insertRec(node: AnyRef, key: Array[Byte], value: Long): AnyRef =
     node match {
       case l: LeafNode =>
-        val i = lowerBound(l.keys, key)
-        if (i < l.keys.length && Bytes.compare(l.keys(i), key) == 0) { l.values(i) = value; null }
+        val i = lowerBound(l.keys, l.n, key)
+        if (i < l.n && Bytes.compare(l.keys(i), key) == 0) { l.values(i) = value; null }
         else {
-          l.keys.insert(i, key); l.values.insert(i, value); count += 1
-          if (l.keys.length <= fanout) null
+          System.arraycopy(l.keys, i, l.keys, i + 1, l.n - i)
+          System.arraycopy(l.values, i, l.values, i + 1, l.n - i)
+          l.keys(i) = key; l.values(i) = value
+          l.n += 1; count += 1
+          if (l.n <= fanout) null
           else {
-            val mid = l.keys.length / 2
+            val mid = l.n / 2
             val r = new LeafNode
-            r.keys ++= l.keys.view.slice(mid, l.keys.length)
-            r.values ++= l.values.view.slice(mid, l.values.length)
-            l.keys.remove(mid, l.keys.length - mid)
-            l.values.remove(mid, l.values.length - mid)
+            r.n = l.n - mid
+            System.arraycopy(l.keys, mid, r.keys, 0, r.n)
+            System.arraycopy(l.values, mid, r.values, 0, r.n)
+            l.n = mid
             r.next = l.next; l.next = r
-            (separator(l.keys.last, r.keys.head), r)
+            splitKey = separator(l.keys(mid - 1), r.keys(0))
+            r
           }
         }
       case in: InnerNode =>
-        val i = upperBound(in.keys, key)
-        val split = insertRec(in.children(i), key, value)
-        if (split == null) null
+        val i = upperBound(in.keys, in.n, key)
+        val child = insertRec(in.children(i), key, value)
+        if (child == null) null
         else {
-          in.keys.insert(i, split._1)
-          in.children.insert(i + 1, split._2)
-          if (in.keys.length <= fanout) null
+          System.arraycopy(in.keys, i, in.keys, i + 1, in.n - i)
+          System.arraycopy(in.children, i + 1, in.children, i + 2, in.n - i)
+          in.keys(i) = splitKey; in.children(i + 1) = child
+          in.n += 1
+          if (in.n <= fanout) null
           else {
-            val mid = in.keys.length / 2
-            val sep = in.keys(mid)
+            val mid = in.n / 2
             val r = new InnerNode
-            r.keys ++= in.keys.view.slice(mid + 1, in.keys.length)
-            r.children ++= in.children.view.slice(mid + 1, in.children.length)
-            in.keys.remove(mid, in.keys.length - mid)
-            in.children.remove(mid + 1, in.children.length - (mid + 1))
-            (sep, r)
+            r.n = in.n - mid - 1
+            System.arraycopy(in.keys, mid + 1, r.keys, 0, r.n)
+            System.arraycopy(in.children, mid + 1, r.children, 0, r.n + 1)
+            splitKey = in.keys(mid)
+            in.n = mid
+            r
           }
         }
     }
 
+  /** The leaf whose key range holds `key`. */
+  private def leafFor(key: Array[Byte]): LeafNode = {
+    var node = root
+    while (node.isInstanceOf[InnerNode]) {
+      val in = node.asInstanceOf[InnerNode]
+      node = in.children(upperBound(in.keys, in.n, key))
+    }
+    node.asInstanceOf[LeafNode]
+  }
+
   /** Point lookup; -1 when absent. */
   def get(key: Array[Byte]): Long = {
-    var node = root
-    while (true) {
-      node match {
-        case l: LeafNode =>
-          val i = lowerBound(l.keys, key)
-          return if (i < l.keys.length && Bytes.compare(l.keys(i), key) == 0) l.values(i) else -1L
-        case in: InnerNode =>
-          node = in.children(upperBound(in.keys, key))
-      }
-    }
-    -1L
+    val l = leafFor(key)
+    val i = lowerBound(l.keys, l.n, key)
+    if (i < l.n && Bytes.compare(l.keys(i), key) == 0) l.values(i) else -1L
   }
 
   /** Up to `limit` (key, value) pairs with key ≥ low, in order. */
   def scan(low: Array[Byte], limit: Int): ArrayBuffer[(Array[Byte], Long)] = {
     val acc = new ArrayBuffer[(Array[Byte], Long)](limit)
-    var node = root
-    var leaf: LeafNode = null
-    while (leaf == null) node match {
-      case l: LeafNode  => leaf = l
-      case in: InnerNode => node = in.children(upperBound(in.keys, low))
-    }
-    var i = lowerBound(leaf.keys, low)
+    var leaf = leafFor(low)
+    var i = lowerBound(leaf.keys, leaf.n, low)
     while (leaf != null && acc.size < limit) {
-      while (i < leaf.keys.length && acc.size < limit) {
+      while (i < leaf.n && acc.size < limit) {
         acc += ((leaf.keys(i), leaf.values(i)))
         i += 1
       }
@@ -125,26 +144,32 @@ class BPlusTree(val fanout: Int = 16) {
     */
   def memoryBytes: Long = {
     var total = 0L
-    def keyCost(k: Array[Byte]): Long = 8L + 16L + k.length
     def walk(n: AnyRef): Unit = n match {
       case l: LeafNode =>
         total += 32L + fanout * 16L // header + fixed 256-byte slot area
         total += leafKeyBytes(l)
       case in: InnerNode =>
         total += 32L + fanout * 16L
-        in.keys.foreach(k => total += keyCost(k))
-        in.children.foreach(walk)
+        var i = 0
+        while (i < in.n) { total += 8L + 16L + in.keys(i).length; i += 1 }
+        i = 0
+        while (i <= in.n) { walk(in.children(i)); i += 1 }
     }
     walk(root)
     total
   }
 
   /** Leaf key storage cost — Prefix B+tree overrides with truncation. */
-  protected def leafKeyBytes(l: LeafNode): Long =
-    l.keys.iterator.map(k => 8L + 16L + k.length).sum
+  protected def leafKeyBytes(l: LeafNode): Long = {
+    var total = 0L
+    var i = 0
+    while (i < l.n) { total += 8L + 16L + l.keys(i).length; i += 1 }
+    total
+  }
 
-  protected def lowerBound(keys: ArrayBuffer[Array[Byte]], key: Array[Byte]): Int = {
-    var lo = 0; var hi = keys.length
+  /** First index in `keys[0, n)` whose key is ≥ `key`. */
+  private def lowerBound(keys: Array[Array[Byte]], n: Int, key: Array[Byte]): Int = {
+    var lo = 0; var hi = n
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (Bytes.compare(keys(mid), key) < 0) lo = mid + 1 else hi = mid
@@ -152,8 +177,9 @@ class BPlusTree(val fanout: Int = 16) {
     lo
   }
 
-  protected def upperBound(keys: ArrayBuffer[Array[Byte]], key: Array[Byte]): Int = {
-    var lo = 0; var hi = keys.length
+  /** First index in `keys[0, n)` whose key is > `key`. */
+  private def upperBound(keys: Array[Array[Byte]], n: Int, key: Array[Byte]): Int = {
+    var lo = 0; var hi = n
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (Bytes.compare(keys(mid), key) <= 0) lo = mid + 1 else hi = mid
@@ -179,9 +205,9 @@ final class PrefixBPlusTree(fanout: Int = 16) extends BPlusTree(fanout) {
 
   /** Prefix-truncated leaf storage: shared prefix once + per-key suffixes. */
   override protected def leafKeyBytes(l: LeafNode): Long =
-    if (l.keys.isEmpty) 0L
+    if (l.n == 0) 0L
     else {
-      val p = Bytes.lcp(l.keys.head, l.keys.last)
-      16L + p + l.keys.iterator.map(k => 8L + 16L + (k.length - p).toLong).sum
+      val p = Bytes.lcp(l.keys(0), l.keys(l.n - 1))
+      16L + p + l.keys.iterator.take(l.n).map(k => 8L + 16L + (k.length - p).toLong).sum
     }
 }

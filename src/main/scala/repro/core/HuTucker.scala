@@ -38,7 +38,7 @@ object HuTucker {
 
     // Nodes 0..n-1 are the leaves; combinations get ids n, n+1, ...
     val total = 2 * n - 1
-    val w     = java.util.Arrays.copyOf(weights, total)
+    val w     = exactWeights(weights, total)
     val lch   = new Array[Int](total)
     val rch   = new Array[Int](total)
     var free  = n
@@ -101,6 +101,26 @@ object HuTucker {
       }
     }
     java.util.Arrays.copyOf(depth, n)
+  }
+
+  /** `weights` as integers in the first `n` of `size` slots, scaled by one
+    * power of two so that their sum fits in 62 bits. Phase 1 needs exact
+    * sums: a combined weight rounded in floating point can order two nodes
+    * against their true sums and so yield depths that are no alphabetic
+    * level sequence. HOPE's weights, hit counts plus a non-integer smoothing
+    * share, did so on a 3-Grams sample of 8,035 entries. Scaling moves each
+    * weight by at most 2^-61 of the total, so the optimal cost is unchanged
+    * to double precision.
+    */
+  private def exactWeights(weights: Array[Double], size: Int): Array[Long] = {
+    val sum = weights.sum
+    require(sum > 0 && sum < Double.PositiveInfinity && weights.forall(_ > 0),
+      s"weights must be positive and finite (sum $sum)")
+    val shift = 61 - Math.getExponent(sum) // sum < 2^(exponent + 1)
+    val w = new Array[Long](size)
+    var i = 0
+    while (i < weights.length) { w(i) = math.max(1L, math.round(Math.scalb(weights(i), shift))); i += 1 }
+    w
   }
 
   /** Phase 2: canonical alphabetic codes from a valid level sequence. */

@@ -102,14 +102,7 @@ object Harness {
       else 0.0
 
     val dictBytes = hope.map(_.dictMemoryBytes).getOrElse(0L)
-    val cpr = hope.map { h =>
-      var raw = 0L; var bits = 0L
-      var j = 0
-      while (j < math.min(keys.length, 20000)) {
-        raw += keys(j).length; bits += h.encode(keys(j)).bitLen; j += 1
-      }
-      raw * 8.0 / bits
-    }.getOrElse(1.0)
+    val cpr = hope.map(h => Hope.compressionRate(h, keys.iterator.take(20000))).getOrElse(1.0)
 
     TreeEvalRow(treeName, dataset, schemeName, keys.length, pointNs, rangeNs,
       insertNs, tree.memoryBytes + dictBytes, dictBytes, tree.avgDepth, cpr)

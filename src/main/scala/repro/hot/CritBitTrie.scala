@@ -1,5 +1,6 @@
 package repro.hot
 
+import java.util.Arrays
 import repro.core.Bytes
 import scala.collection.mutable.ArrayBuffer
 
@@ -13,7 +14,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Bits beyond a key's end read as 0, which is exact for the zero-padded
   * encoded keys used in integration (terminated keys are never bit-prefixes
-  * of each other, so a discriminating bit always exists).
+  * of each other, so a discriminating bit always exists). Two distinct keys
+  * that are equal after zero padding (`ab` and `ab\0`) have no such bit, so
+  * `insert` rejects the second one instead of overwriting the first.
   */
 final class CritBitTrie {
 
@@ -34,15 +37,17 @@ final class CritBitTrie {
 
   /** First bit index at which a and b differ; -1 if equal (incl. 0-padding). */
   private def firstDiffBit(a: Array[Byte], b: Array[Byte]): Int = {
-    val n = math.max(a.length, b.length)
-    var i = 0
-    while (i < n) {
-      val ab = if (i < a.length) a(i) & 0xff else 0
-      val bb = if (i < b.length) b(i) & 0xff else 0
-      if (ab != bb) return (i << 3) + Integer.numberOfLeadingZeros(ab ^ bb) - 24
-      i += 1
-    }
-    -1
+    var i = Arrays.mismatch(a, b)
+    if (i < 0) return -1
+    val diff =
+      if (i < a.length && i < b.length) (a(i) ^ b(i)) & 0xff
+      else { // past the shorter key's end, the longer one differs where it is non-zero
+        val longer = if (a.length > b.length) a else b
+        while (i < longer.length && longer(i) == 0) i += 1
+        if (i == longer.length) return -1
+        longer(i) & 0xff
+      }
+    (i << 3) + Integer.numberOfLeadingZeros(diff) - 24
   }
 
   def insert(key: Array[Byte], value: Long): Unit = {
@@ -56,11 +61,10 @@ final class CritBitTrie {
     val leaf = node.asInstanceOf[Leaf]
     val d = firstDiffBit(key, leaf.key)
     if (d < 0) {
+      // equal after zero padding: the same key, or two keys no bit tells apart
       if (key.length == leaf.key.length) { leaf.value = value; return }
-      // zero-pad-equal but different length: treat longer as bigger via a
-      // virtual bit at the shorter key's end — disallowed for terminated
-      // keys; fall back to replacing equal-bits key.
-      leaf.value = value; return
+      throw new IllegalArgumentException(
+        s"keys ${Bytes.hex(leaf.key)} and ${Bytes.hex(key)} differ only by trailing zero bytes")
     }
     val newLeaf = new Leaf(key, value)
     val goRight = bit(key, d) == 1

@@ -4,8 +4,15 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Synthetic stand-ins for the paper's three string-key datasets (§6),
-  * generated with the DataFrame API so they scale and stay deterministic in
-  * (n, seed). See DESIGN.md §3 for the substitution rationale.
+  * generated with the DataFrame API so they scale. See DESIGN.md §3 for the
+  * substitution rationale.
+  *
+  * A key set is deterministic in (n, seed, `defaultParallelism`), not in
+  * (n, seed) alone: Spark seeds `rand(seed)` per partition with seed plus the
+  * partition index, and `spark.range(n)` splits by `defaultParallelism`. So
+  * the same (n, seed) gives a different set under `local[1]` and `local[4]`
+  * (20,000 emails: 19,968 and 19,978 distinct keys). Every number measured
+  * on these keys holds for one core count.
   *
   *  - emails: host-reversed ("com.gmail@first.last123"), Zipf-skewed domains,
   *    avg ≈ 22 bytes — heavy shared prefixes within popular domains.

@@ -45,20 +45,6 @@ final class Surf private (
   /** Suffix-store index for leaf entry i (requires !hasChild(i)). */
   private def leafIdx(i: Int): Int = hasChild.rank0(i + 1) - 1
 
-  /** First `suffixBits` bits of `key` starting at byte `from`, zero-padded. */
-  private def keySuffix(key: Array[Byte], from: Int): Int = {
-    if (suffixBits == 0) return 0
-    var v = 0
-    var i = 0
-    while (i < suffixBits) {
-      val bitPos = (from << 3) + i
-      val b = if ((bitPos >>> 3) < key.length) (key(bitPos >>> 3) >>> (7 - (bitPos & 7))) & 1 else 0
-      v = (v << 1) | b
-      i += 1
-    }
-    v
-  }
-
   /** Approximate membership test — one-sided error (false positives only). */
   def mayContain(key: Array[Byte]): Boolean = {
     var pos = 0
@@ -77,7 +63,7 @@ final class Surf private (
       if (hasChild.get(found)) { pos = childStart(found); depth += 1 }
       else {
         if (suffixBits == 0) return true
-        return (suffixes(leafIdx(found)) & 0xff) == keySuffix(key, depth + 1)
+        return (suffixes(leafIdx(found)) & 0xff) == Surf.keySuffix(key, depth + 1, suffixBits)
       }
     }
     false
@@ -156,7 +142,7 @@ final class Surf private (
         } else {
           // truncated leaf matching lo's prefix: compare suffix bits if any
           val stored = if (suffixBits == 0) 0 else suffixes(leafIdx(eq)) & 0xff
-          val probe = keySuffix(lo, depth + 1)
+          val probe = Surf.keySuffix(lo, depth + 1, suffixBits)
           if (suffixBits == 0 || stored >= probe || depth + 1 >= lo.length) {
             path += labels(eq)
             return Some(path.toArray)
@@ -200,6 +186,19 @@ final class Surf private (
 
 object Surf {
 
+  /** First `suffixBits` bits of `key` starting at byte `from`, zero-padded. */
+  private def keySuffix(key: Array[Byte], from: Int, suffixBits: Int): Int = {
+    var v = 0
+    var i = 0
+    while (i < suffixBits) {
+      val bitPos = (from << 3) + i
+      val b = if ((bitPos >>> 3) < key.length) (key(bitPos >>> 3) >>> (7 - (bitPos & 7))) & 1 else 0
+      v = (v << 1) | b
+      i += 1
+    }
+    v
+  }
+
   /** Build from sorted, distinct keys. `suffixBits` ∈ {0, 8} supported (the
     * Figure 11 sweep uses 0…8; we store one byte and mask).
     */
@@ -215,19 +214,6 @@ object Surf {
 
     final case class Task(lo: Int, hi: Int, depth: Int)
     val queue = scala.collection.mutable.Queue(Task(0, sortedKeys.length, 0))
-
-    def suffixOf(key: Array[Byte], from: Int): Byte = {
-      if (suffixBits == 0) return 0
-      var v = 0
-      var i = 0
-      while (i < suffixBits) {
-        val bitPos = (from << 3) + i
-        val b = if ((bitPos >>> 3) < key.length) (key(bitPos >>> 3) >>> (7 - (bitPos & 7))) & 1 else 0
-        v = (v << 1) | b
-        i += 1
-      }
-      v.toByte
-    }
 
     while (queue.nonEmpty) {
       val Task(lo, hi, depth) = queue.dequeue()
@@ -251,7 +237,7 @@ object Surf {
         first = false
         if (j - i == 1) {
           hasChildB += false
-          sufB += suffixOf(sortedKeys(i), depth + 1)
+          sufB += keySuffix(sortedKeys(i), depth + 1, suffixBits).toByte
           depthSum += depth + 1; leafCnt += 1
         } else {
           hasChildB += true

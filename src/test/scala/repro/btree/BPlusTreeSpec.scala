@@ -105,4 +105,86 @@ class BPlusTreeSpec extends AnyFunSuite {
     import scala.jdk.CollectionConverters._
     ref.entrySet().asScala.foreach(e => assert(t.get(e.getKey) == e.getValue))
   }
+
+  /** A plain B+tree that exposes its node structure: the leaves in chain
+    * order, and `memoryBytes` summed again over every node from the root.
+    */
+  private final class Probe(fanout: Int) extends BPlusTree(fanout) {
+    def leafKeys: Seq[Seq[Array[Byte]]] = {
+      var node = root
+      while (!node.isInstanceOf[LeafNode]) node = node.asInstanceOf[InnerNode].children(0)
+      var l = node.asInstanceOf[LeafNode]
+      val out = Seq.newBuilder[Seq[Array[Byte]]]
+      while (l != null) { out += l.keys.take(l.n).toSeq; l = l.next }
+      out.result()
+    }
+
+    def referenceBytes: Long = {
+      def keyBytes(keys: Seq[Array[Byte]]) = keys.map(k => 8L + 16L + k.length).sum
+      def walk(node: AnyRef): Long = node match {
+        case l: LeafNode => 32L + fanout * 16L + keyBytes(l.keys.take(l.n).toSeq)
+        case in: InnerNode =>
+          assert(in.n >= 1 && in.n <= fanout)
+          32L + fanout * 16L + keyBytes(in.keys.take(in.n).toSeq) +
+            in.children.take(in.n + 1).map(walk).sum
+      }
+      walk(root)
+    }
+  }
+
+  for (fanout <- Seq(4, 5, 16); prefix <- Seq(false, true)) {
+    val label = if (prefix) "PrefixB+tree" else "B+tree"
+    test(s"$label fanout $fanout: mixed inserts, overwrites, absent gets and scans vs TreeMap") {
+      val t = if (prefix) new PrefixBPlusTree(fanout) else new Probe(fanout)
+      val ref = refMap
+      val rnd = new scala.util.Random(41 + fanout)
+      def key() = Array.fill(1 + rnd.nextInt(10)) {
+        rnd.nextInt(4) match {
+          case 0 => 0.toByte
+          case 1 => (0x80 + rnd.nextInt(128)).toByte
+          case _ => ('a' + rnd.nextInt(3)).toByte
+        }
+      }
+      def checkMemory(): Unit = t match {
+        case p: Probe => assert(p.memoryBytes == p.referenceBytes)
+        case _ =>
+      }
+      val present = scala.collection.mutable.ArrayBuffer.empty[Array[Byte]]
+      import scala.jdk.CollectionConverters._
+      for (op <- 0 until 8000) {
+        rnd.nextInt(10) match {
+          case 0 | 1 | 2 | 3 =>
+            val k = key(); t.insert(k, op.toLong)
+            if (!ref.containsKey(k)) present += k.clone()
+            ref.put(k, op.toLong)
+          case 4 if present.nonEmpty => // overwrite through an equal, distinct array
+            val k = present(rnd.nextInt(present.length)).clone()
+            t.insert(k, op.toLong); ref.put(k, op.toLong)
+          case 5 | 6 =>
+            val k = key()
+            assert(t.get(k) == (if (ref.containsKey(k)) ref.get(k) else -1L), Bytes.hex(k))
+          case 7 if present.nonEmpty =>
+            val k = present(rnd.nextInt(present.length))
+            assert(t.get(k) == ref.get(k))
+          case _ =>
+            val low = key(); val limit = 1 + rnd.nextInt(3 * fanout)
+            val got = t.scan(low, limit).map(kv => (Bytes.hex(kv._1), kv._2)).toSeq
+            val want = ref.tailMap(low, true).entrySet().iterator().asScala.take(limit)
+              .map(e => (Bytes.hex(e.getKey), e.getValue: Long)).toSeq
+            assert(got == want, s"low=${Bytes.hex(low)} limit=$limit")
+        }
+        assert(t.size == ref.size)
+        if (op % 1000 == 999) checkMemory()
+      }
+      checkMemory()
+      t match {
+        case p: Probe =>
+          val leaves = p.leafKeys
+          assert(leaves.length > 10, "scans must cross leaf boundaries")
+          assert(leaves.forall(l => l.nonEmpty && l.length <= fanout))
+          assert(leaves.flatten.map(Bytes.hex) == ref.keySet().asScala.toSeq.map(Bytes.hex))
+        case _ =>
+      }
+    }
+  }
 }

@@ -32,6 +32,19 @@ class CritBitSpec extends AnyFunSuite {
     assert(t.get(Bytes.of("x\u0000")) == 7 && t.size == 1)
   }
 
+  test("distinct keys equal after zero padding are rejected, naming both in hex") {
+    val t = new CritBitTrie
+    t.insert(Bytes.of("ab"), 1)
+    val e = intercept[IllegalArgumentException](t.insert(Bytes.of("ab\u0000"), 2))
+    assert(e.getMessage.contains("6162") && e.getMessage.contains("616200"), e.getMessage)
+    assert(t.size == 1 && t.get(Bytes.of("ab")) == 1)
+    t.insert(Bytes.of("ab"), 3) // the same key again still replaces its value
+    assert(t.size == 1 && t.get(Bytes.of("ab")) == 3)
+    // a longer key that is non-zero past the zeros is distinct
+    t.insert(Bytes.of("ab\u0000\u0000\u0001"), 4)
+    assert(t.size == 2 && t.get(Bytes.of("ab")) == 3 && t.get(Bytes.of("ab\u0000\u0000\u0001")) == 4)
+  }
+
   test("randomized insert/get vs TreeMap (20k terminated keys)") {
     val t = new CritBitTrie; val ref = refMap
     randKeys(20000, 10, 13).zipWithIndex.foreach { case (k, i) =>

@@ -12,10 +12,9 @@ class T3SurfYcsbBench extends BenchSuite {
       ds <- Seq("email", "wiki", "url")
       keys = BenchBase.keys(ds)
       (name, scheme) <- Configs.all
-    } yield Harness.runSurf(ds, name, keys, scheme, suffixBits = 8,
-      nPoint = 20000, nRange = 3000,
-      negatives = if (ds == "email") BenchBase.negatives(10000) else Array.empty,
-      prebuilt = scheme.map(BenchBase.hope(ds, _)))
+    } yield Harness.runSurf(ds, name, keys, scheme.map(BenchBase.hope(ds, _)),
+      suffixBits = 8, nPoint = 20000, nRange = 3000,
+      negatives = if (ds == "email") BenchBase.negatives(10000) else Array.empty)
 
   test("emit T3 (Fig. 10) table") {
     Tables.emit("T3_surf", Tables.render(

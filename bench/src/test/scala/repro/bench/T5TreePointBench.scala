@@ -17,9 +17,8 @@ class T5TreePointBench extends BenchSuite {
       tree <- KVTree.names
       (name, scheme) <- Configs.all
     } yield SparkTreeEval.aggregate(
-      SparkTreeEval.perPartition(spark, df, "k", tree, ds, name, scheme,
-        partitions = 4, nPoint = 6000, nRange = 400,
-        prebuilt = scheme.map(BenchBase.hope(ds, _))))
+      SparkTreeEval.perPartition(spark, df, "k", tree, ds, name,
+        scheme.map(BenchBase.hope(ds, _)), partitions = 4, nPoint = 6000, nRange = 400))
 
   test("emit T5 (Fig. 12) table") {
     Tables.emit("T5_trees_point", Tables.render(

@@ -35,6 +35,11 @@ object Bytes {
   /** Ordering instance for sorted collections of byte-string keys. */
   implicit val ordering: Ordering[Array[Byte]] = (x: Array[Byte], y: Array[Byte]) => compare(x, y)
 
+  /** The key bytes of a string column value: UTF-8, the bytes `hope_encode`
+    * sees (`UTF8String.getBytes`), so a dictionary is trained on what it encodes.
+    */
+  def utf8(s: String): Array[Byte] = s.getBytes(StandardCharsets.UTF_8)
+
   /** ISO-8859-1 round-trips every byte value 1:1 — used to key hash maps. */
   def str(a: Array[Byte]): String = new String(a, StandardCharsets.ISO_8859_1)
 

@@ -3,7 +3,9 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.{Expression, UnaryExpression}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.classic.ColumnConversions
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.hope.ExpressionColumn
 import org.apache.spark.sql.types.{BinaryType, DataType}
 import org.apache.spark.unsafe.types.UTF8String
 
@@ -40,24 +42,7 @@ object HopeSpark {
     df.select(col).sample(withReplacement = false, fraction, seed)
       .as[String](Encoders.STRING)
       .collect()
-      .map(_.getBytes(java.nio.charset.StandardCharsets.ISO_8859_1))
-
-  /** Distributed n-gram frequency statistics via Catalyst (`transform` +
-    * `explode` + `groupBy().count()`) — the Symbol Selector's counting step
-    * expressed as a DataFrame aggregation. Verified equal to the local
-    * counter in tests.
-    */
-  def gramCounts(df: DataFrame, keyCol: String, n: Int): Map[String, Long] = {
-    import org.apache.spark.sql.Row
-    df.filter(length(org.apache.spark.sql.functions.col(keyCol)) >= n)
-      .select(explode(expr(
-        s"transform(sequence(0, length($keyCol) - $n), i -> substring($keyCol, i + 1, $n))"
-      )) as "g")
-      .groupBy("g").count()
-      .collect()
-      .map { case Row(g: String, c: Long) => g -> c }
-      .toMap
-  }
+      .map(Bytes.utf8)
 
   /** Build a HOPE dictionary from a key column: Spark draws the sample, the
     * (small) dictionary is constructed on the driver.
@@ -78,11 +63,12 @@ object HopeSpark {
   }
 
   /** Append an order-preserving encoded binary column (per-partition pure
-    * transformation — no shuffle is introduced).
+    * transformation — no shuffle is introduced). The column is built directly
+    * from [[HopeEncodeExpression]]; the function registry is not touched.
     */
-  def encodeColumn(df: DataFrame, col: String, hope: BuiltHope,
+  def encodeColumn(df: DataFrame, keyCol: String, hope: BuiltHope,
                    outCol: String = "k_enc"): DataFrame = {
-    val fn = registerSql(df.sparkSession, s"tmp_${System.identityHashCode(hope)}", hope)
-    df.selectExpr("*", s"$fn($col) as $outCol")
+    val key = ColumnConversions.expression(col(keyCol))
+    df.select(col("*"), ExpressionColumn(HopeEncodeExpression(key, hope)).as(outCol))
   }
 }

@@ -34,8 +34,9 @@ object Configs {
   )
 }
 
-/** Single-threaded YCSB-style workload runner (§7.2): build HOPE on a 1%
-  * sample, bulk-load 90% of the keys, then measure Zipf point queries,
+/** Single-threaded YCSB-style workload runner (§7.2): encode with the given
+  * HOPE dictionary (`None` keeps the raw keys; callers build it on a sample,
+  * 1 % in §6), bulk-load 90% of the keys, then measure Zipf point queries,
   * Zipf-start range scans (workload E, scan length ≤ 100), and the inserts
   * of the held-out 10%. Query keys pass through the encoder inside the timed
   * region — the encoding overhead is part of the measured latency, exactly
@@ -51,18 +52,9 @@ object Harness {
     case Some(h) => (k: Array[Byte]) => h.encodeTerminated(k).bytes
   }
 
-  def buildHope(keys: Array[Array[Byte]], scheme: Option[Scheme],
-                sampleFraction: Double = 0.01): Option[BuiltHope] =
-    scheme.map { s =>
-      val n = math.max(256, (keys.length * sampleFraction).toInt)
-      Hope.build(keys.take(math.min(n, keys.length)), s)
-    }
-
   def runTree(treeName: String, dataset: String, schemeName: String,
-              keys: Array[Array[Byte]], scheme: Option[Scheme],
-              nPoint: Int = 30000, nRange: Int = 2000,
-              prebuilt: Option[BuiltHope] = None): TreeEvalRow = {
-    val hope = prebuilt.orElse(buildHope(keys, scheme))
+              keys: Array[Array[Byte]], hope: Option[BuiltHope],
+              nPoint: Int = 30000, nRange: Int = 2000): TreeEvalRow = {
     val enc = keyCodec(hope)
     val tree = KVTree.create(treeName)
 
@@ -113,17 +105,12 @@ object Harness {
     * positive-rate probe of Figure 11.
     */
   def runSurf(dataset: String, schemeName: String, keys: Array[Array[Byte]],
-              scheme: Option[Scheme], suffixBits: Int = 0,
+              hope: Option[BuiltHope], suffixBits: Int = 0,
               nPoint: Int = 30000, nRange: Int = 5000,
-              negatives: Array[Array[Byte]] = Array.empty,
-              prebuilt: Option[BuiltHope] = None): (TreeEvalRow, Double) = {
-    val hope = prebuilt.orElse(buildHope(keys, scheme))
+              negatives: Array[Array[Byte]] = Array.empty): (TreeEvalRow, Double) = {
     val enc = keyCodec(hope)
     val encodedSorted = keys.map(enc).sortWith(Bytes.compare(_, _) < 0)
-    val t0 = System.nanoTime()
     val surf = Surf(dedupSorted(encodedSorted), suffixBits)
-    val buildMs = (System.nanoTime() - t0) / 1e6
-    require(buildMs >= 0)
 
     val zipf = new Zipf(keys.length, seed = 31)
     val perm = KeyShuffle.permutation(keys.length, seed = 17)

@@ -1,36 +1,33 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
-import repro.core.{BuiltHope, Scheme}
+import repro.core.{BuiltHope, Bytes}
 
 /** Per-partition tree evaluation on Spark (the repro band's framing): the
-  * HOPE dictionary is built once from a Spark sample, broadcast, and each
+  * HOPE dictionary (built once, e.g. by `HopeSpark.build`) is broadcast, and each
   * partition independently encodes its keys and builds + probes its own
   * in-memory search tree inside `mapPartitions`. Results come back as a
   * Dataset of [[TreeEvalRow]] aggregated on the driver.
   */
 object SparkTreeEval {
 
-  /** Run `treeName` under `scheme` over `keysDf(col)` split into
-    * `partitions` independent trees; returns one row per partition.
+  /** Run `treeName` over `keysDf(col)` encoded with `hope` (`None`: raw
+    * keys), split into `partitions` independent trees; returns one row per
+    * partition.
     */
   def perPartition(spark: SparkSession, keysDf: DataFrame, col: String,
                    treeName: String, dataset: String, schemeName: String,
-                   scheme: Option[Scheme], partitions: Int = 4,
-                   nPoint: Int = 10000, nRange: Int = 500,
-                   prebuilt: Option[BuiltHope] = None): Seq[TreeEvalRow] = {
+                   hope: Option[BuiltHope], partitions: Int = 4,
+                   nPoint: Int = 10000, nRange: Int = 500): Seq[TreeEvalRow] = {
     import spark.implicits._
-    val hope: Option[BuiltHope] =
-      prebuilt.orElse(scheme.map(s => repro.core.HopeSpark.build(keysDf, col, s)))
     val bc = spark.sparkContext.broadcast(hope)
     val ds: Dataset[String] = keysDf.select(col).as[String](Encoders.STRING)
       .repartition(partitions)
     ds.mapPartitions { it =>
-      val keys = it.map(_.getBytes(java.nio.charset.StandardCharsets.ISO_8859_1)).toArray
+      val keys = it.map(Bytes.utf8).toArray
       if (keys.isEmpty) Iterator.empty
       else Iterator.single(
-        Harness.runTree(treeName, dataset, schemeName, keys, scheme = None,
-          nPoint = nPoint, nRange = nRange, prebuilt = bc.value))
+        Harness.runTree(treeName, dataset, schemeName, keys, bc.value, nPoint, nRange))
     }.collect().toSeq
   }
 

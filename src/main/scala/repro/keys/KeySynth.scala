@@ -129,7 +129,7 @@ object KeySynth {
     ).distinct()
   }
 
-  /** Named dataset accessor used by benches and jobs. */
+  /** Named dataset accessor used by the bench suites. */
   def dataset(spark: SparkSession, name: String, n: Long): DataFrame = name match {
     case "email" => emails(spark, n)
     case "wiki"  => wiki(spark, n)
@@ -141,6 +141,6 @@ object KeySynth {
   def collectKeys(df: DataFrame): Array[Array[Byte]] = {
     import org.apache.spark.sql.Encoders
     df.select(col("k")).as[String](Encoders.STRING).collect()
-      .map(_.getBytes(java.nio.charset.StandardCharsets.ISO_8859_1))
+      .map(repro.core.Bytes.utf8)
   }
 }

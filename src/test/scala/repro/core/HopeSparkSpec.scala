@@ -4,9 +4,9 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.keys.KeySynth
 
-/** Spark-side behaviour: Catalyst n-gram statistics, the `hope_encode`
-  * expression, and — via the DuckDB oracle — that ordering/range/group-by
-  * queries over the encoded binary column reproduce the raw-string answers.
+/** Spark-side behaviour: sampling key bytes, the `hope_encode` expression,
+  * and — via the DuckDB oracle — that ordering/range/group-by queries over
+  * the encoded binary column reproduce the raw-string answers.
   */
 class HopeSparkSpec extends SparkSpec {
 
@@ -14,24 +14,44 @@ class HopeSparkSpec extends SparkSpec {
   private lazy val hope: BuiltHope =
     HopeSpark.build(emailDf, "k", Scheme.NGrams(3, 1 << 10), fraction = 0.5)
 
-  test("gramCounts via Catalyst equals the local counter") {
-    val sparkCounts = HopeSpark.gramCounts(emailDf, "k", 3)
-    val local = SymbolSelect.ngramCounts(KeySynth.collectKeys(emailDf), 3)
-    assert(sparkCounts.size == local.size)
-    local.foreach { case (g, c) => assert(sparkCounts(g) == c, s"gram '$g'") }
-  }
-
-  test("gramCounts ignores keys shorter than n") {
-    import spark.implicits._
-    val df = Seq("ab", "abcd").toDF("k")
-    val c = HopeSpark.gramCounts(df, "k", 3)
-    assert(c == Map("abc" -> 1L, "bcd" -> 1L))
-  }
-
   test("sampleKeys returns roughly the requested fraction") {
     val s = HopeSpark.sampleKeys(emailDf, "k", 0.2, seed = 3)
     val n = emailDf.count()
     assert(s.length > n * 0.05 && s.length < n * 0.5, s"${s.length} of $n")
+  }
+
+  test("non-Latin-1 keys: sampled as UTF-8 bytes, encoded order equals DuckDB ORDER BY") {
+    import spark.implicits._
+    val raw = KeySynth.collectKeys(emailDf).take(300).map(Bytes.str) ++ Seq(
+      "中", "文", "é", "e", "中文", "文中", "café", "cafe", "cafë", "caf",
+      "com.gmail@中", "com.gmail@文", "com.gmail@é", "zé", "z", "ÿ", "éa")
+    val df = raw.toSeq.toDF("k")
+    val sampled = HopeSpark.sampleKeys(df, "k", 1.0).map(Bytes.hex)
+    val distinct = sampled.toSet
+    assert(distinct.size == raw.length, "sampled arrays are not distinct")
+    assert(distinct == raw.map(k => Bytes.hex(Bytes.utf8(k))).toSet)
+
+    for (scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.NGrams(3, 1 << 10))) {
+      val h = HopeSpark.build(df, "k", scheme, fraction = 1.0)
+      import org.apache.spark.sql.expressions.Window
+      val ranked = HopeSpark.encodeColumn(df, "k", h)
+        .withColumn("rk", row_number().over(Window.orderBy(col("k_enc"))))
+        .select(col("k"), col("rk").cast("string").as("rk"))
+      Oracle.assertEquivalent(ranked,
+        "select k, cast(row_number() over (order by k) as varchar) as rk from t",
+        "t" -> df)
+    }
+  }
+
+  test("encodeColumn leaves the session's function registry unchanged") {
+    val registry = spark.sessionState.functionRegistry
+    val before = registry.listFunction().size
+    for (scheme <- Seq[Scheme](Scheme.SingleChar, Scheme.DoubleChar, Scheme.NGrams(3, 512))) {
+      val h = HopeSpark.build(emailDf, "k", scheme, fraction = 0.2)
+      assert(HopeSpark.encodeColumn(emailDf, "k", h).select("k_enc").limit(1).collect().length == 1)
+    }
+    val after = registry.listFunction().size
+    assert(after == before)
   }
 
   test("hope_encode expression registered in SQL works end-to-end") {

@@ -34,6 +34,11 @@ class IntegrationSpec extends AnyFunSuite {
   private val hopes: Map[String, Option[BuiltHope]] =
     schemes.toMap.map { case (n, s) => n -> s.map(Hope.build(keys.take(400), _)) }
 
+  /** The dictionary the `Harness` runs below encode with: built on the first
+    * 256 keys.
+    */
+  private def harnessHope(s: Scheme): Option[BuiltHope] = Some(Hope.build(keys.take(256), s))
+
   private def reference = {
     val m = new java.util.TreeMap[Array[Byte], Long](
       (a: Array[Byte], b: Array[Byte]) => Bytes.compare(a, b))
@@ -86,7 +91,7 @@ class IntegrationSpec extends AnyFunSuite {
 
   test("Harness.runTree produces sane metrics") {
     val row = Harness.runTree("B+tree", "synthetic", "Double-Char", keys,
-      Some(Scheme.DoubleChar), nPoint = 2000, nRange = 200)
+      harnessHope(Scheme.DoubleChar), nPoint = 2000, nRange = 200)
     assert(row.pointNs > 0 && row.rangeNs > 0 && row.insertNs > 0)
     assert(row.memoryBytes > row.dictBytes && row.dictBytes > 0)
     assert(row.cpr > 1.0)
@@ -94,7 +99,7 @@ class IntegrationSpec extends AnyFunSuite {
 
   test("Harness.runSurf produces sane metrics and zero FPR on present keys") {
     val (row, fpr) = Harness.runSurf("synthetic", "Single-Char", keys,
-      Some(Scheme.SingleChar), suffixBits = 8, nPoint = 2000, nRange = 500,
+      harnessHope(Scheme.SingleChar), suffixBits = 8, nPoint = 2000, nRange = 500,
       negatives = Array.fill(500)(Bytes.of("net.none@" + rnd.nextInt(100000))))
     assert(row.pointNs > 0 && row.rangeNs > 0 && row.memoryBytes > 0)
     assert(fpr >= 0.0 && fpr <= 1.0)
@@ -106,7 +111,7 @@ class IntegrationSpec extends AnyFunSuite {
     val plain = Harness.runTree("B+tree", "s", "Uncompressed", keys, None,
       nPoint = 500, nRange = 50)
     val comp = Harness.runTree("B+tree", "s", "Double-Char", keys,
-      Some(Scheme.DoubleChar), nPoint = 500, nRange = 50)
+      harnessHope(Scheme.DoubleChar), nPoint = 500, nRange = 50)
     val plainTree = plain.memoryBytes - plain.dictBytes
     val compTree = comp.memoryBytes - comp.dictBytes
     assert(compTree < plainTree, s"compressed $compTree !< plain $plainTree")
@@ -114,7 +119,7 @@ class IntegrationSpec extends AnyFunSuite {
 
   test("HOPE shrinks SuRF (fewer internal levels) on compressible keys") {
     val (plain, _) = Harness.runSurf("s", "Uncompressed", keys, None, nPoint = 500, nRange = 100)
-    val (comp, _) = Harness.runSurf("s", "Double-Char", keys, Some(Scheme.DoubleChar),
+    val (comp, _) = Harness.runSurf("s", "Double-Char", keys, harnessHope(Scheme.DoubleChar),
       nPoint = 500, nRange = 100)
     assert(comp.height < plain.height, s"height ${comp.height} !< ${plain.height}")
   }

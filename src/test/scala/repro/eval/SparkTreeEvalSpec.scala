@@ -1,7 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.core.Scheme
+import repro.core.{BuiltHope, HopeSpark, Scheme}
 import repro.keys.KeySynth
 
 /** Per-partition Spark evaluation: dictionaries broadcast once, each
@@ -11,9 +11,11 @@ class SparkTreeEvalSpec extends SparkSpec {
 
   private lazy val df = KeySynth.emails(spark, 4000).cache()
 
+  private def hope(s: Scheme): Option[BuiltHope] = Some(HopeSpark.build(df, "k", s))
+
   test("perPartition returns one row per non-empty partition") {
     val rows = SparkTreeEval.perPartition(spark, df, "k", "B+tree", "email",
-      "Double-Char", Some(Scheme.DoubleChar), partitions = 3, nPoint = 500, nRange = 50)
+      "Double-Char", hope(Scheme.DoubleChar), partitions = 3, nPoint = 500, nRange = 50)
     assert(rows.size == 3)
     assert(rows.forall(r => r.pointNs > 0 && r.memoryBytes > 0 && r.keys > 0))
     assert(rows.map(_.keys.toLong).sum == df.count())
@@ -22,7 +24,7 @@ class SparkTreeEvalSpec extends SparkSpec {
   test("perPartition works for every tree type") {
     for (tree <- KVTree.names) {
       val rows = SparkTreeEval.perPartition(spark, df, "k", tree, "email",
-        "Single-Char", Some(Scheme.SingleChar), partitions = 2, nPoint = 300, nRange = 30)
+        "Single-Char", hope(Scheme.SingleChar), partitions = 2, nPoint = 300, nRange = 30)
       assert(rows.nonEmpty, tree)
       assert(rows.forall(_.tree == tree))
     }
@@ -49,7 +51,7 @@ class SparkTreeEvalSpec extends SparkSpec {
     val un = SparkTreeEval.aggregate(SparkTreeEval.perPartition(spark, df, "k",
       "B+tree", "email", "Uncompressed", None, partitions = 2, nPoint = 200, nRange = 20))
     val dc = SparkTreeEval.aggregate(SparkTreeEval.perPartition(spark, df, "k",
-      "B+tree", "email", "Double-Char", Some(Scheme.DoubleChar), partitions = 2,
+      "B+tree", "email", "Double-Char", hope(Scheme.DoubleChar), partitions = 2,
       nPoint = 200, nRange = 20))
     assert(dc.memoryBytes - dc.dictBytes < un.memoryBytes,
       s"${dc.memoryBytes - dc.dictBytes} !< ${un.memoryBytes}")

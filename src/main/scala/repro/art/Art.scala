@@ -1,5 +1,6 @@
 package repro.art
 
+import java.util.Arrays
 import repro.core.{Bytes, DictIndex}
 import scala.collection.mutable.ArrayBuffer
 
@@ -10,7 +11,8 @@ import scala.collection.mutable.ArrayBuffer
   * a 64-bit value.
   *
   * Supports insert, exact lookup, floor ("≤" predecessor — the dictionary
-  * query), and ordered range scans. Node fanout adapts 4 → 16 → 48 → 256.
+  * query), and ordered range scans. Node fanout adapts 4 → 16 → 48 → 256;
+  * the two sorted small sizes are one class, `SmallNode`.
   *
   * Memory accounting offers two modes: `ocpsMemoryBytes` caps accounted
   * per-node prefixes at 8 bytes and charges leaves one 8-byte tuple pointer
@@ -35,11 +37,11 @@ final class Art extends Serializable {
   private def insertRec(node: Node, key: Array[Byte], depth: Int, value: Long): Node =
     node match {
       case l: Leaf =>
-        if (eqFrom(l.key, key, depth)) { l.value = value; l }
+        if (Arrays.equals(l.key, key)) { l.value = value; l }
         else {
-          val common = lcpFrom(l.key, key, depth)
-          val n4 = new Node4
-          n4.prefix = java.util.Arrays.copyOfRange(key, depth, depth + common)
+          val common = Bytes.lcp(l.key, depth, key, depth)
+          val n4 = new SmallNode(4)
+          n4.prefix = Arrays.copyOfRange(key, depth, depth + common)
           val d = depth + common
           if (d == key.length) n4.valueLeaf = new Leaf(key, value)
           else n4.add(key(d) & 0xff, new Leaf(key, value))
@@ -50,12 +52,12 @@ final class Art extends Serializable {
         }
       case in: Inner =>
         val p = in.prefix
-        val c = lcpPrefix(key, depth, p)
+        val c = Bytes.lcp(key, depth, p, 0)
         if (c < p.length) {
           // split the compressed path at c
-          val n4 = new Node4
-          n4.prefix = java.util.Arrays.copyOf(p, c)
-          in.prefix = java.util.Arrays.copyOfRange(p, c + 1, p.length)
+          val n4 = new SmallNode(4)
+          n4.prefix = Arrays.copyOf(p, c)
+          in.prefix = Arrays.copyOfRange(p, c + 1, p.length)
           n4.add(p(c) & 0xff, in)
           val d = depth + c
           if (d == key.length) n4.valueLeaf = new Leaf(key, value)
@@ -87,10 +89,10 @@ final class Art extends Serializable {
     var depth = 0
     while (node != null) {
       node match {
-        case l: Leaf => return if (eqFrom(l.key, key, depth)) l.value else -1L
+        case l: Leaf => return if (Arrays.equals(l.key, key)) l.value else -1L
         case in: Inner =>
           val p = in.prefix
-          if (lcpPrefix(key, depth, p) < p.length) return -1L
+          if (Bytes.lcp(key, depth, p, 0) < p.length) return -1L
           val d = depth + p.length
           if (d == key.length) return if (in.valueLeaf != null) in.valueLeaf.value else -1L
           node = in.child(key(d) & 0xff)
@@ -107,19 +109,15 @@ final class Art extends Serializable {
     node match {
       case null => null
       case l: Leaf =>
-        if (cmpFrom(l.key, key, base) <= 0) l else null
+        if (Bytes.compareSuffix(key, base, l.key) >= 0) l else null
       case in: Inner =>
         val p = in.prefix
-        val kLen = key.length - depth
-        val m = math.min(p.length, kLen)
-        var i = 0
-        while (i < m && p(i) == key(depth + i)) i += 1
-        if (i < m) {
-          if ((p(i) & 0xff) < (key(depth + i) & 0xff)) maxLeaf(in) else null
-        } else if (kLen <= p.length) {
-          if (kLen == p.length) in.valueLeaf else null
-        } else {
-          val d = depth + p.length
+        val d = depth + p.length
+        if (Bytes.lcp(p, 0, key, depth) < p.length) {
+          // key[depth..) leaves the prefix: the whole subtree is below or above it
+          if (Bytes.compareSuffix(key, depth, p) > 0) maxLeaf(in) else null
+        } else if (d == key.length) in.valueLeaf
+        else {
           val b = key(d) & 0xff
           val ch = in.child(b)
           if (ch != null) {
@@ -148,21 +146,17 @@ final class Art extends Serializable {
   private def scanRec(node: Node, low: Array[Byte], depth: Int, limit: Int,
                       acc: ArrayBuffer[Leaf]): Unit = node match {
     case null =>
-    case l: Leaf => if (cmpFrom(l.key, low, 0) >= 0 && acc.size < limit) acc += l
+    case l: Leaf => if (Bytes.compare(l.key, low) >= 0 && acc.size < limit) acc += l
     case in: Inner =>
       if (acc.size >= limit) return
       val p = in.prefix
-      val kLen = low.length - depth
-      val m = math.min(p.length, math.max(kLen, 0))
-      var i = 0
-      while (i < m && p(i) == low(depth + i)) i += 1
-      if (i < m) {
-        if ((p(i) & 0xff) > (low(depth + i) & 0xff)) collectAll(in, limit, acc)
+      val d = depth + p.length
+      if (Bytes.lcp(p, 0, low, depth) < p.length) {
+        if (Bytes.compareSuffix(low, depth, p) < 0) collectAll(in, limit, acc)
         // else: entire subtree < low — skip
-      } else if (kLen <= p.length) {
+      } else if (d == low.length) {
         collectAll(in, limit, acc) // subtree extends low's remainder: all ≥ low
       } else {
-        val d = depth + p.length
         val b = low(d) & 0xff
         val ch = in.child(b)
         if (ch != null) scanRec(ch, low, d + 1, limit, acc)
@@ -196,10 +190,9 @@ final class Art extends Serializable {
       case in: Inner =>
         val pl = if (ocps) math.min(8, in.prefix.length) else in.prefix.length
         total += 16L + 16L + pl + (in match {
-          case _: Node4   => 4L + 4 * 8
-          case _: Node16  => 16L + 16 * 8
-          case _: Node48  => 256L + 48 * 8
-          case _: Node256 => 256L * 8
+          case s: SmallNode => s.cap + s.cap * 8L
+          case _: Node48    => 256L + 48 * 8
+          case _: Node256   => 256L * 8
         })
         if (in.valueLeaf != null) total += leafCost(in.valueLeaf)
         in.foreachChildFrom(0)(walk)
@@ -222,42 +215,6 @@ final class Art extends Serializable {
     if (root != null) walk(root, 0)
     if (leaves == 0) 0.0 else sum.toDouble / leaves
   }
-
-  // ---------------------------------------------------------------- helpers
-
-  private def eqFrom(stored: Array[Byte], key: Array[Byte], depth: Int): Boolean =
-    stored.length == key.length && {
-      var i = depth
-      while (i < key.length && stored(i) == key(i)) i += 1
-      i == key.length
-    }
-
-  private def lcpFrom(a: Array[Byte], b: Array[Byte], depth: Int): Int = {
-    val n = math.min(a.length, b.length) - depth
-    var i = 0
-    while (i < n && a(depth + i) == b(depth + i)) i += 1
-    i
-  }
-
-  /** lcp of key[depth..) with p. */
-  private def lcpPrefix(key: Array[Byte], depth: Int, p: Array[Byte]): Int = {
-    val n = math.min(p.length, key.length - depth)
-    var i = 0
-    while (i < n && p(i) == key(depth + i)) i += 1
-    i
-  }
-
-  /** Compare stored key against key[base..). */
-  private def cmpFrom(stored: Array[Byte], key: Array[Byte], base: Int): Int = {
-    val n = math.min(stored.length, key.length - base)
-    var i = 0
-    while (i < n) {
-      val d = (stored(i) & 0xff) - (key(base + i) & 0xff)
-      if (d != 0) return d
-      i += 1
-    }
-    stored.length - (key.length - base)
-  }
 }
 
 object Art {
@@ -278,13 +235,17 @@ object Art {
     def foreachChildFrom(b: Int)(f: Node => Unit): Unit
   }
 
-  private[art] final class Node4 extends Inner {
-    val keys = new Array[Int](4)
-    val children = new Array[Node](4)
+  /** Sorted-array node of capacity `cap`, ART's 4- and 16-child sizes: a
+    * full 4-slot node grows into a 16-slot one, a full 16-slot one into a
+    * Node48.
+    */
+  private[art] final class SmallNode(val cap: Int) extends Inner {
+    val keys = new Array[Int](cap)
+    val children = new Array[Node](cap)
     var n = 0
     def child(b: Int): Node = { var i = 0; while (i < n) { if (keys(i) == b) return children(i); i += 1 }; null }
     def add(b: Int, c: Node): Inner =
-      if (n == 4) grow().add(b, c)
+      if (n == cap) grow().add(b, c)
       else {
         var i = n - 1
         while (i >= 0 && keys(i) > b) { keys(i + 1) = keys(i); children(i + 1) = children(i); i -= 1 }
@@ -293,35 +254,12 @@ object Art {
     def replace(b: Int, c: Node): Unit = { var i = 0; while (i < n) { if (keys(i) == b) { children(i) = c; return }; i += 1 } }
     def maxLabelBelow(b: Int): Int = { var r = -1; var i = 0; while (i < n && keys(i) < b) { r = keys(i); i += 1 }; r }
     def foreachChildFrom(b: Int)(f: Node => Unit): Unit = { var i = 0; while (i < n) { if (keys(i) >= b) f(children(i)); i += 1 } }
-    private def grow(): Node16 = {
-      val g = new Node16
-      g.prefix = prefix; g.valueLeaf = valueLeaf
-      System.arraycopy(keys, 0, g.keys, 0, 4); System.arraycopy(children, 0, g.children, 0, 4)
-      g.n = 4; g
-    }
-  }
-
-  private[art] final class Node16 extends Inner {
-    val keys = new Array[Int](16)
-    val children = new Array[Node](16)
-    var n = 0
-    def child(b: Int): Node = { var i = 0; while (i < n) { if (keys(i) == b) return children(i); i += 1 }; null }
-    def add(b: Int, c: Node): Inner =
-      if (n == 16) grow().add(b, c)
-      else {
-        var i = n - 1
-        while (i >= 0 && keys(i) > b) { keys(i + 1) = keys(i); children(i + 1) = children(i); i -= 1 }
-        keys(i + 1) = b; children(i + 1) = c; n += 1; this
-      }
-    def replace(b: Int, c: Node): Unit = { var i = 0; while (i < n) { if (keys(i) == b) { children(i) = c; return }; i += 1 } }
-    def maxLabelBelow(b: Int): Int = { var r = -1; var i = 0; while (i < n && keys(i) < b) { r = keys(i); i += 1 }; r }
-    def foreachChildFrom(b: Int)(f: Node => Unit): Unit = { var i = 0; while (i < n) { if (keys(i) >= b) f(children(i)); i += 1 } }
-    private def grow(): Node48 = {
-      val g = new Node48
+    private def grow(): Inner = {
+      val g = if (cap == 4) new SmallNode(16) else new Node48
       g.prefix = prefix; g.valueLeaf = valueLeaf
       var i = 0
-      while (i < 16) { g.slot(keys(i)) = (i + 1).toShort; g.children(i) = children(i); i += 1 }
-      g.n = 16; g
+      while (i < n) { g.add(keys(i), children(i)); i += 1 } // ascending: each add appends
+      g
     }
   }
 

@@ -32,6 +32,12 @@ object Bytes {
     if (i < 0) a.length else i
   }
 
+  /** Length of the longest common prefix of `a[aFrom..)` and `b[bFrom..)`. */
+  def lcp(a: Array[Byte], aFrom: Int, b: Array[Byte], bFrom: Int): Int = {
+    val i = Arrays.mismatch(a, aFrom, a.length, b, bFrom, b.length)
+    if (i < 0) a.length - aFrom else i
+  }
+
   /** Ordering instance for sorted collections of byte-string keys. */
   implicit val ordering: Ordering[Array[Byte]] = (x: Array[Byte], y: Array[Byte]) => compare(x, y)
 

@@ -72,15 +72,13 @@ final class BuiltHope(
     * variant whose padded bytes are strictly order- and equality-faithful for
     * NUL-free keys (see [[Axis]] doc). The terminator is virtual: a lookup
     * with at least `maxBoundaryLen` bytes left cannot reach it, so only the
-    * short tail is copied next to a real 0x00. ALM schemes, whose boundaries
-    * are unbounded, copy the whole key.
+    * short tail is copied next to a real 0x00. For ALM schemes, whose
+    * `maxBoundaryLen` is `Int.MaxValue`, the tail is the whole key.
     */
   def encodeTerminated(key: Array[Byte]): Encoded = {
-    val maxB = scheme.maxBoundaryLen
-    if (maxB == Int.MaxValue) return encode(java.util.Arrays.copyOf(key, key.length + 1))
     val s = BuiltHope.scratch.get()
     s.bitPos = 0
-    val off = emit(s, key, 0, key.length - maxB + 1)
+    val off = emit(s, key, 0, key.length - scheme.maxBoundaryLen + 1)
     val tail = s.tail(key.length - off + 1)
     System.arraycopy(key, off, tail, 0, tail.length - 1)
     tail(tail.length - 1) = 0
@@ -91,37 +89,32 @@ final class BuiltHope(
   /** Sorted-batch encoding (§4.2, Appendix B): each block encodes the shared
     * prefix once. A lookup at an offset ≤ LCP − maxBoundaryLen reads only the
     * block's common prefix, so every key of the block starts with the same
-    * codes up to the symbol end after the last such lookup; ALM schemes
-    * (unbounded boundary length) get no benefit, matching the paper.
+    * codes up to the symbol end after the last such lookup. ALM schemes
+    * (`maxBoundaryLen` = `Int.MaxValue`) get no shared prefix, so no
+    * benefit, matching the paper.
     */
   def encodeBatchSorted(keys: Array[Array[Byte]], batchSize: Int): Array[Encoded] = {
     val out = new Array[Encoded](keys.length)
-    val maxB = scheme.maxBoundaryLen
     val s = BuiltHope.scratch.get()
     var blockStart = 0
     while (blockStart < keys.length) {
       val blockEnd = math.min(keys.length, blockStart + batchSize)
-      if (blockEnd - blockStart == 1 || maxB == Int.MaxValue) {
-        var i = blockStart
-        while (i < blockEnd) { out(i) = encode(keys(i)); i += 1 }
-      } else {
-        val first = keys(blockStart)
-        s.bitPos = 0
-        val safeOff = emit(s, first, 0, Bytes.lcp(first, keys(blockEnd - 1)) - maxB + 1)
-        val safeBits = s.bitPos
-        // bits after `safeBits` are zero here, or lie in a word no code has
-        // reached yet, which appendBits overwrites on its first write
-        val seed = java.util.Arrays.copyOf(s.words, (safeBits >>> 6) + 1)
-        emit(s, first, safeOff, first.length)
-        out(blockStart) = pack(s.words, s.bitPos)
-        var i = blockStart + 1
-        while (i < blockEnd) {
-          System.arraycopy(seed, 0, s.words, 0, seed.length)
-          s.bitPos = safeBits
-          emit(s, keys(i), safeOff, keys(i).length)
-          out(i) = pack(s.words, s.bitPos)
-          i += 1
-        }
+      val first = keys(blockStart)
+      s.bitPos = 0
+      val safeOff = emit(s, first, 0, Bytes.lcp(first, keys(blockEnd - 1)) - scheme.maxBoundaryLen + 1)
+      val safeBits = s.bitPos
+      // bits after `safeBits` are zero here, or lie in a word no code has
+      // reached yet, which appendBits overwrites on its first write
+      val seed = java.util.Arrays.copyOf(s.words, (safeBits >>> 6) + 1)
+      emit(s, first, safeOff, first.length)
+      out(blockStart) = pack(s.words, s.bitPos)
+      var i = blockStart + 1
+      while (i < blockEnd) {
+        System.arraycopy(seed, 0, s.words, 0, seed.length)
+        s.bitPos = safeBits
+        emit(s, keys(i), safeOff, keys(i).length)
+        out(i) = pack(s.words, s.bitPos)
+        i += 1
       }
       blockStart = blockEnd
     }

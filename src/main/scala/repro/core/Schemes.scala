@@ -143,66 +143,35 @@ object SymbolSelect {
   }
 
   /** ALM *blending* (§4.2): redistribute the count of every symbol that is a
-    * proper prefix of other symbols to its longest extension, so the selected
-    * symbol set satisfies the prefix property. Longest-extension queries use
-    * a sparse-table RMQ over the lexicographically sorted symbol array.
+    * proper prefix of other symbols to its longest extension (the first in
+    * order on ties), so the selected symbol set satisfies the prefix
+    * property. A longest extension has no extensions itself, so no mass
+    * moves twice and one pass suffices: right to left over the sorted
+    * symbols, a stack holds the closed subtrees to the right as (root,
+    * longest symbol in it), and a symbol's extensions are exactly the
+    * subtrees on top of the stack whose roots it prefixes.
     */
   def blend(counts: mutable.HashMap[String, Long]): Seq[(String, Long)] = {
     val arr = counts.keysIterator.toArray.sorted
-    val n = arr.length
-    if (n == 0) return Nil
     val cnt = arr.map(counts(_))
-    val lens = arr.map(_.length)
-
-    // sparse table over (length, index), max by length then earliest index
-    val logN = 32 - Integer.numberOfLeadingZeros(math.max(1, n))
-    val table = Array.ofDim[Int](logN + 1, n)
-    var i = 0
-    while (i < n) { table(0)(i) = i; i += 1 }
-    var j = 1
-    while ((1 << j) <= n) {
-      var k = 0
-      while (k + (1 << j) <= n) {
-        val a = table(j - 1)(k)
-        val b = table(j - 1)(k + (1 << (j - 1)))
-        table(j)(k) = if (lens(b) > lens(a)) b else a
-        k += 1
+    val roots = new Array[Int](arr.length)
+    val longest = new Array[Int](arr.length)
+    var top = 0
+    var i = arr.length - 1
+    while (i >= 0) {
+      var tgt = -1
+      while (top > 0 && arr(roots(top - 1)).startsWith(arr(i))) {
+        top -= 1
+        // subtrees pop left to right: replace only on strictly longer
+        if (tgt < 0 || arr(longest(top)).length > arr(tgt).length) tgt = longest(top)
       }
-      j += 1
-    }
-    def rmq(lo: Int, hi: Int): Int = { // max-length index in [lo, hi)
-      val w = 31 - Integer.numberOfLeadingZeros(hi - lo)
-      val a = table(w)(lo)
-      val b = table(w)(hi - (1 << w))
-      if (lens(b) > lens(a)) b else a
-    }
-
-    // process in increasing symbol length so mass cascades to the longest
-    val order = arr.indices.toArray.sortBy(lens(_))
-    order.foreach { idx =>
-      val s = arr(idx)
-      val hi = Axis.inc(Bytes.of(s)) match {
-        case Some(up) =>
-          val u = Bytes.str(up)
-          lowerBound(arr, u)
-        case None => n
-      }
-      if (idx + 1 < hi) { // extensions exist
-        val tgt = rmq(idx + 1, hi)
-        cnt(tgt) += cnt(idx)
-        cnt(idx) = 0
-      }
+      if (tgt >= 0) { cnt(tgt) += cnt(i); cnt(i) = 0 }
+      roots(top) = i
+      longest(top) = if (tgt >= 0) tgt else i
+      top += 1
+      i -= 1
     }
     arr.iterator.zip(cnt.iterator).filter(_._2 > 0).toSeq
-  }
-
-  private def lowerBound(arr: Array[String], key: String): Int = {
-    var lo = 0; var hi = arr.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (arr(mid) < key) lo = mid + 1 else hi = mid
-    }
-    lo
   }
 
   /** ALM selection: keep the `k` symbols with the largest len(s)·freq(s)

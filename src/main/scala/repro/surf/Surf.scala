@@ -72,105 +72,44 @@ final class Surf private (
   /** Range emptiness test over [lo, hi] — may return true spuriously, never
     * false when a stored key is inside the range.
     */
-  def mayContainRange(lo: Array[Byte], hi: Array[Byte]): Boolean =
-    lowerBoundPath(lo) match {
-      case None => false
-      case Some(path) =>
-        // path ≤ hi (prefix counts as ≤): truncated stored keys compare
-        // optimistically, preserving one-sided error
-        val m = math.min(path.length, hi.length)
-        var i = 0
-        while (i < m && path(i) == hi(i)) i += 1
-        if (i < m) (path(i) & 0xff) < (hi(i) & 0xff)
-        // equal up to m: a path that is a prefix of hi may be ≤ hi; a path
-        // that strictly extends hi means the real key is > hi — reject
-        else path.length <= hi.length
-    }
-
-  /** Smallest stored (truncated) key ≥ lo, as its label path; None if all
-    * stored keys are < lo. Truncation errs low, keeping the filter sound.
-    */
-  private def lowerBoundPath(lo: Array[Byte]): Option[Array[Byte]] = {
+  def mayContainRange(lo: Array[Byte], hi: Array[Byte]): Boolean = {
     val path = new ArrayBuffer[Byte]
-    // frames: (nodeStart, entryIdx) of the current descent
-    val stack = new ArrayBuffer[(Int, Int)]
-
-    def descendLeftmost(entry0: Int): Option[Array[Byte]] = {
-      var i = entry0
-      while (true) {
-        if (isTerm.get(i)) return Some(path.toArray) // key ends at this node
-        path += labels(i)
-        if (!hasChild.get(i)) return Some(path.toArray)
-        i = childStart(i)
-      }
-      None
-    }
-
-    def backtrackAdvance(): Option[Array[Byte]] = {
-      while (stack.nonEmpty) {
-        val (start, idx) = stack.remove(stack.length - 1)
-        if (path.nonEmpty) path.remove(path.length - 1)
-        val end = nodeEnd(start)
-        if (idx + 1 < end) return descendLeftmost(idx + 1)
-      }
-      None
-    }
-
-    var pos = 0
-    var depth = 0
-    while (true) {
-      val end = nodeEnd(pos)
-      if (depth == lo.length) return descendLeftmost(pos) // whole node ≥ lo
-      val b = lo(depth) & 0xff
-      // skip the terminal entry (its key is a proper prefix of lo, hence < lo)
-      var i = pos
-      if (i < end && isTerm.get(i)) i += 1
-      var eq = -1
-      var gt = -1
-      while (i < end && gt < 0) {
-        val l = labels(i) & 0xff
-        if (l == b) eq = i
-        else if (l > b) gt = i
-        i += 1
-      }
-      if (eq >= 0) {
-        if (hasChild.get(eq)) {
-          stack += ((pos, eq))
-          path += labels(eq)
-          pos = childStart(eq)
-          depth += 1
-        } else {
-          // truncated leaf matching lo's prefix: compare suffix bits if any
-          val stored = if (suffixBits == 0) 0 else suffixes(leafIdx(eq)) & 0xff
-          val probe = Surf.keySuffix(lo, depth + 1, suffixBits)
-          if (suffixBits == 0 || stored >= probe || depth + 1 >= lo.length) {
-            path += labels(eq)
-            return Some(path.toArray)
-          }
-          // stored suffix < lo: advance to the next entry
-          if (gt >= 0) { path += labels(gt); return descendFrom(gt, path) }
-          return backtrackAdvance()
-        }
-      } else if (gt >= 0) {
-        path += labels(gt)
-        return descendFrom(gt, path)
-      } else {
-        return backtrackAdvance()
-      }
-    }
-    None
+    // path ≤ hi (a prefix counts as ≤): truncated stored keys compare
+    // optimistically, preserving one-sided error; a path that strictly
+    // extends hi means the real key is > hi
+    lowerBound(0, lo, 0, path) && Bytes.compare(path.toArray, hi) <= 0
   }
 
-  /** Leftmost completion below entry `i` whose label is already on `path`. */
-  private def descendFrom(i: Int, path: ArrayBuffer[Byte]): Option[Array[Byte]] = {
-    var cur = i
-    while (hasChild.get(cur)) {
-      cur = childStart(cur)
-      if (isTerm.get(cur)) return Some(path.toArray)
-      path += labels(cur)
+  /** Appends to `path` the labels of the smallest stored (truncated) key
+    * ≥ `lo` in the node starting at `pos`, whose labels are byte `depth` of
+    * the key; false if every key there is < `lo`. Truncation errs low,
+    * keeping the filter sound.
+    */
+  private def lowerBound(pos: Int, lo: Array[Byte], depth: Int, path: ArrayBuffer[Byte]): Boolean = {
+    if (depth == lo.length) return leftmost(pos, path) // whole node ≥ lo
+    val end = nodeEnd(pos)
+    val b = lo(depth) & 0xff
+    // skip the terminal entry (its key is a proper prefix of lo, hence < lo)
+    var i = if (isTerm.get(pos)) pos + 1 else pos
+    while (i < end && (labels(i) & 0xff) < b) i += 1
+    if (i < end && (labels(i) & 0xff) == b) {
+      path += labels(i)
+      val found =
+        if (hasChild.get(i)) lowerBound(childStart(i), lo, depth + 1, path)
+        // truncated leaf matching lo's prefix: compare suffix bits if any
+        else suffixBits == 0 || (suffixes(leafIdx(i)) & 0xff) >= Surf.keySuffix(lo, depth + 1, suffixBits)
+      if (found) return true
+      path.remove(path.length - 1)
+      i += 1 // every key below label b is < lo: advance to the next label
     }
-    Some(path.toArray)
+    i < end && leftmost(i, path)
   }
+
+  /** Appends to `path` the labels of the smallest stored key at or below
+    * entry `i`; always true.
+    */
+  private def leftmost(i: Int, path: ArrayBuffer[Byte]): Boolean =
+    isTerm.get(i) || { path += labels(i); !hasChild.get(i) || leftmost(childStart(i), path) }
 
   /** Filter size in bytes: labels + 3 bit vectors + suffix store — the ~10
     * bits/node succinct accounting of the paper.
@@ -199,11 +138,11 @@ object Surf {
     v
   }
 
-  /** Build from sorted, distinct keys. `suffixBits` ∈ {0, 8} supported (the
-    * Figure 11 sweep uses 0…8; we store one byte and mask).
+  /** Build from sorted, distinct keys, keeping `suffixBits` ∈ 0…8 real key
+    * bits per leaf (the Figure 11 sweep; we store one byte and mask).
     */
   def apply(sortedKeys: Array[Array[Byte]], suffixBits: Int = 0): Surf = {
-    require(suffixBits == 0 || suffixBits <= 8, "suffixBits must be ≤ 8")
+    require(0 <= suffixBits && suffixBits <= 8, s"suffixBits must be in 0..8, got $suffixBits")
     val labels = new ArrayBuffer[Byte]
     val hasChildB = new ArrayBuffer[Boolean]
     val loudsB = new ArrayBuffer[Boolean]

@@ -120,6 +120,24 @@ class ArtSpec extends AnyFunSuite {
     assert(art.ocpsMemoryBytes > 0)
   }
 
+  test("memory accounting: exact bytes at every node-size step") {
+    // One inner node with a 10-byte prefix over k leaves "abcdefghij" + b.
+    // Inner: 32 B header + prefix (8 B under the OCPS cap, 10 B in full) +
+    // body: 4 + 4·8 = 36 (k ≤ 4), 16 + 16·8 = 144 (k ≤ 16), 256 + 48·8 = 640
+    // (k ≤ 48), 256·8 = 2048 above. Leaf: 24 B, plus 16 B + 11 key bytes in
+    // dictionary mode. So ocps = 40 + body + 24k and dict = 42 + body + 51k.
+    val want = Seq( // (k, ocps, dict)
+      (4, 172, 282), (5, 304, 441), (16, 568, 1002),
+      (17, 1088, 1549), (48, 1832, 3130), (49, 3264, 4589))
+    for ((k, ocps, dict) <- want) {
+      val art = new Art
+      for (b <- (0 until k).reverse) art.insert(Bytes.of("abcdefghij") :+ b.toByte, b.toLong)
+      assert(art.ocpsMemoryBytes == ocps, s"k=$k")
+      assert(art.dictMemoryBytes == dict, s"k=$k")
+      for (b <- 0 until k) assert(art.get(Bytes.of("abcdefghij") :+ b.toByte) == b.toLong)
+    }
+  }
+
   test("avgLeafDepth shrinks for keys with a long shared prefix vs random") {
     val shared = new Art
     (0 until 1000).foreach(i => shared.insert(Bytes.of(f"http://www.same-prefix.com/$i%06d"), i.toLong))

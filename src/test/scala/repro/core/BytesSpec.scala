@@ -77,6 +77,9 @@ class BytesSpec extends AnyFunSuite {
     for ((a, b) <- pairs) {
       assert(Bytes.lcp(a, b) == refLcp(a, b), s"${Bytes.hex(a)} vs ${Bytes.hex(b)}")
       assert(Bytes.lcp(b, a) == refLcp(a, b))
+      for (aFrom <- 0 to a.length; bFrom <- 0 to b.length)
+        assert(Bytes.lcp(a, aFrom, b, bFrom) == refLcp(a.drop(aFrom), b.drop(bFrom)),
+          s"${Bytes.hex(a)} from $aFrom vs ${Bytes.hex(b)} from $bFrom")
     }
   }
 

@@ -47,6 +47,9 @@ class SymbolSelectSpec extends AnyFunSuite {
     assert(!out.contains("sig"))
     assert(!out.contains("sigmo"))
     assert(out("sigmod") == 18L) // sig→sigmod (longest), sigmo→sigmod
+    // tied longest extensions: the first in order takes the mass
+    val tied = SymbolSelect.blend(scala.collection.mutable.HashMap("ab" -> 7L, "abc" -> 1L, "abd" -> 2L))
+    assert(tied.toMap == Map("abc" -> 8L, "abd" -> 2L))
   }
 
   test("blend keeps non-prefix symbols untouched") {

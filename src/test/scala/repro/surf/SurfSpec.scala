@@ -76,6 +76,32 @@ class SurfSpec extends AnyFunSuite {
     }
   }
 
+  test("range query: no false negatives on random ranges (binary and byte alphabets, empty key)") {
+    val rnd = new scala.util.Random(12)
+    for (alphabet <- Seq(2, 256); suffixBits <- Seq(0, 8); round <- 0 until 5) {
+      def key(maxLen: Int) = Array.fill(rnd.nextInt(maxLen + 1))(rnd.nextInt(alphabet).toByte)
+      val maxLen = if (alphabet == 2) 10 else 4
+      val keys = sortedDistinct(Array.emptyByteArray +: Seq.fill(50 + rnd.nextInt(400))(key(maxLen)))
+      val surf = Surf(keys, suffixBits)
+      val ref = new java.util.TreeSet[Array[Byte]](Bytes.ordering)
+      keys.foreach(ref.add)
+      for (_ <- 0 until 2000) {
+        val a = key(maxLen + 1); val b = key(maxLen + 1)
+        val (lo, hi) = if (Bytes.compare(a, b) <= 0) (a, b) else (b, a)
+        val first = ref.ceiling(lo)
+        if (first != null && Bytes.compare(first, hi) <= 0)
+          assert(surf.mayContainRange(lo, hi),
+            s"alphabet=$alphabet suffixBits=$suffixBits round=$round [${Bytes.hex(lo)}, ${Bytes.hex(hi)}] holds ${Bytes.hex(first)}")
+      }
+    }
+  }
+
+  test("suffixBits outside 0..8 is rejected") {
+    val keys = sortedDistinct(Seq("a", "b").map(Bytes.of))
+    for (bits <- Seq(-1, 9))
+      assertThrows[IllegalArgumentException](Surf(keys, suffixBits = bits))
+  }
+
   test("range query rejects ranges far below the smallest key") {
     val keys = sortedDistinct((0 until 200).map(i => Bytes.of(s"m$i")))
     val surf = Surf(keys)

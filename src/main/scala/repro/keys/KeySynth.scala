@@ -1,25 +1,27 @@
 package repro.keys
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+import java.util.{HexFormat, SplittableRandom}
 
-/** Synthetic stand-ins for the paper's three string-key datasets (§6),
-  * generated with the DataFrame API so they scale. See DESIGN.md §3 for the
-  * substitution rationale.
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.functions.col
+
+/** Synthetic stand-ins for the paper's three string-key datasets (§6). See
+  * DESIGN.md §3 for the substitution rationale.
   *
-  * A key set is deterministic in (n, seed, `defaultParallelism`), not in
-  * (n, seed) alone: Spark seeds `rand(seed)` per partition with seed plus the
-  * partition index, and `spark.range(n)` splits by `defaultParallelism`. So
-  * the same (n, seed) gives a different set under `local[1]` and `local[4]`
-  * (20,000 emails: 19,968 and 19,978 distinct keys). Every number measured
-  * on these keys holds for one core count.
+  * Key `i` of a dataset is a pure function of (seed, i), drawn in plain Scala
+  * from its own counter-based random stream; a key set is the distinct keys
+  * among draws `0 until n` (see [[draw]]). So a set is deterministic in
+  * (n, seed): the same keys in the same order on every core count. The
+  * DataFrame accessors hold that set in one partition, in that order.
   *
   *  - emails: host-reversed ("com.gmail@first.last123"), Zipf-skewed domains,
   *    avg ≈ 22 bytes — heavy shared prefixes within popular domains.
   *  - wiki: capitalized word sequences joined by '_', Zipf word choice,
   *    avg ≈ 21 bytes — natural-language letter statistics.
-  *  - urls: "http://www.<domain>/<seg>/<seg>?id=<n>" with Zipf domains,
-  *    avg ≈ 100 bytes — very long shared prefixes.
+  *  - urls: "http://<host>/<seg>/<seg>-<seg>/<seg>/<seg>/article-<n>.html?ref=<seg>&s=<hash>"
+  *    with Zipf hosts and segments, avg ≈ 100 bytes — very long shared prefixes.
   *
   * All keys are NUL-free printable ASCII, as required by the 0x00-terminator
   * integration convention.
@@ -64,27 +66,95 @@ object KeySynth {
     "www.linkedin.com", "www.etsy.com", "www.walmart.com", "www.target.com",
   )
 
-  /** Zipf-ish index over [0, n): floor(n * u^k) concentrates small indices. */
-  private def skewIdx(seedCol: org.apache.spark.sql.Column, n: Int, k: Double) =
-    least(lit(n - 1), floor(pow(seedCol, k) * n)).cast("int")
+  /** The random stream of key `i`: a `SplittableRandom` seeded by a mix of
+    * `seed` and `i`. The mix is SplitMix64's finaliser [Steele et al.,
+    * OOPSLA'14] over `seed · γ + i`, so neighbouring indices start unrelated
+    * streams and key `i` depends on nothing but (seed, i) — a counter-based
+    * generator in the sense of Salmon et al. (SC'11).
+    */
+  private def stream(seed: Long, i: Long): SplittableRandom = {
+    var z = seed * 0x9E3779B97F4A7C15L + i
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    new SplittableRandom(z ^ (z >>> 31))
+  }
 
-  private def pick(words: Array[String], idx: org.apache.spark.sql.Column) =
-    element_at(array(words.map(lit): _*), idx + 1)
+  /** Zipf-ish choice: word floor(n · u^k) of n concentrates on small indices. */
+  private def skewed(words: Array[String], r: SplittableRandom, k: Double): String =
+    words(math.min(words.length - 1, (math.pow(r.nextDouble(), k) * words.length).toInt))
+
+  /** Email key `i`, host-reversed like the paper's dataset; 60 % of the keys
+    * end in a number below 1000.
+    */
+  def emailKey(seed: Long, i: Long): String = {
+    val r = stream(seed, i)
+    val sb = new java.lang.StringBuilder(32)
+      .append(skewed(domains, r, 2.5)).append('@')
+      .append(skewed(firstNames, r, 1.5)).append('.')
+      .append(skewed(lastNames, r, 1.5))
+    if (r.nextDouble() < 0.6) sb.append((r.nextDouble() * 1000).toInt)
+    sb.toString
+  }
+
+  /** Wikipedia-title-like key `i`: two to four words joined by '_', the first
+    * capitalised, with a third word half the time and a "_(word)"
+    * qualifier 15 % of the time.
+    */
+  def wikiKey(seed: Long, i: Long): String = {
+    val r = stream(seed, i)
+    val first = skewed(wikiWords, r, 1.8)
+    val sb = new java.lang.StringBuilder(32)
+      .append(Character.toUpperCase(first.charAt(0))).append(first, 1, first.length)
+      .append('_').append(skewed(wikiWords, r, 1.8))
+    if (r.nextDouble() < 0.5) sb.append('_').append(skewed(wikiWords, r, 1.8))
+    if (r.nextDouble() < 0.15) sb.append("_(").append(skewed(wikiWords, r, 1.8)).append(')')
+    sb.toString
+  }
+
+  private val md5 = ThreadLocal.withInitial[MessageDigest](() => MessageDigest.getInstance("MD5"))
+
+  /** URL key `i`, with long shared prefixes (avg ≈ 100 bytes); its tail is
+    * the first 8 hex digits of md5(i ‖ seed).
+    */
+  def urlKey(seed: Long, i: Long): String = {
+    val r = stream(seed, i)
+    def seg = skewed(pathWords, r, 1.3)
+    val sb = new java.lang.StringBuilder(128)
+      .append("http://").append(skewed(urlHosts, r, 2.0))
+      .append('/').append(seg).append('/').append(seg).append('-').append(seg)
+      .append('/').append(seg).append('/').append(seg).append("/article-")
+      .append((r.nextDouble() * 9000 + 1000).toLong)
+      .append(".html?ref=").append(seg).append("&s=")
+    sb.append(HexFormat.of.formatHex(md5.get.digest(s"$i$seed".getBytes(UTF_8)), 0, 4))
+      .toString
+  }
+
+  /** The distinct keys among `key(seed, 0 until n)`, in order of first
+    * occurrence: a pure function of (n, seed). Repeated draws are dropped,
+    * not redrawn, so there are at most n keys, and `draw(n, …)` is a prefix
+    * of `draw(m, …)` for every m ≥ n.
+    */
+  def draw(n: Long, seed: Long, key: (Long, Long) => String): Array[String] = {
+    val seen = new java.util.HashSet[String]
+    val out = Array.newBuilder[String]
+    var i = 0L
+    while (i < n) {
+      val k = key(seed, i)
+      if (seen.add(k)) out += k
+      i += 1
+    }
+    out.result()
+  }
+
+  /** `draw(n, seed, key)` as a one-partition DataFrame with column "k", made
+    * by a single task, so that Spark and the driver see one set in one order.
+    */
+  private def frame(spark: SparkSession, n: Long, seed: Long, key: (Long, Long) => String): DataFrame =
+    spark.range(0, 1, 1, 1).flatMap(_ => draw(n, seed, key).iterator)(Encoders.STRING).toDF("k")
 
   /** Email keys, host-reversed like the paper's dataset. */
-  def emails(spark: SparkSession, n: Long, seed: Long = 7): DataFrame = {
-    spark.range(n).select(
-      concat(
-        pick(domains, skewIdx(rand(seed), domains.length, 2.5)),
-        lit("@"),
-        pick(firstNames, skewIdx(rand(seed + 1), firstNames.length, 1.5)),
-        lit("."),
-        pick(lastNames, skewIdx(rand(seed + 2), lastNames.length, 1.5)),
-        when(rand(seed + 3) < 0.6, (rand(seed + 4) * 1000).cast("int").cast("string"))
-          .otherwise(lit("")),
-      ) as "k"
-    ).distinct()
-  }
+  def emails(spark: SparkSession, n: Long, seed: Long = 7): DataFrame =
+    frame(spark, n, seed, emailKey)
 
   /** Email subsets for the Appendix C distribution-change experiment:
     * A = gmail + yahoo accounts, B = everything else.
@@ -96,38 +166,12 @@ object KeySynth {
   }
 
   /** Wikipedia-title-like keys. */
-  def wiki(spark: SparkSession, n: Long, seed: Long = 11): DataFrame = {
-    def word(s: Long, cap: Boolean) = {
-      val w = pick(wikiWords, skewIdx(rand(s), wikiWords.length, 1.8))
-      if (cap) concat(upper(substring(w, 1, 1)), substring(w, 2, 100)) else w
-    }
-    spark.range(n).select(
-      concat(
-        word(seed, cap = true),
-        lit("_"), word(seed + 1, cap = false),
-        when(rand(seed + 2) < 0.5, concat(lit("_"), word(seed + 3, cap = false)))
-          .otherwise(lit("")),
-        when(rand(seed + 4) < 0.15,
-          concat(lit("_("), word(seed + 5, cap = false), lit(")"))).otherwise(lit("")),
-      ) as "k"
-    ).distinct()
-  }
+  def wiki(spark: SparkSession, n: Long, seed: Long = 11): DataFrame =
+    frame(spark, n, seed, wikiKey)
 
   /** URL keys with long shared prefixes (avg ≈ 100 bytes). */
-  def urls(spark: SparkSession, n: Long, seed: Long = 13): DataFrame = {
-    def seg(s: Long) = pick(pathWords, skewIdx(rand(s), pathWords.length, 1.3))
-    spark.range(n).select(
-      concat(
-        lit("http://"),
-        pick(urlHosts, skewIdx(rand(seed), urlHosts.length, 2.0)),
-        lit("/"), seg(seed + 1), lit("/"), seg(seed + 2), lit("-"), seg(seed + 3),
-        lit("/"), seg(seed + 4), lit("/"), seg(seed + 5), lit("/article-"),
-        (rand(seed + 7) * 9000 + 1000).cast("long").cast("string"),
-        lit(".html?ref="), seg(seed + 8), lit("&s="),
-        substring(md5(concat(col("id").cast("string"), lit(seed.toString))), 1, 8),
-      ) as "k"
-    ).distinct()
-  }
+  def urls(spark: SparkSession, n: Long, seed: Long = 13): DataFrame =
+    frame(spark, n, seed, urlKey)
 
   /** Named dataset accessor used by the bench suites. */
   def dataset(spark: SparkSession, name: String, n: Long): DataFrame = name match {
@@ -139,7 +183,6 @@ object KeySynth {
 
   /** Collect a key DataFrame to byte arrays (driver-side workloads). */
   def collectKeys(df: DataFrame): Array[Array[Byte]] = {
-    import org.apache.spark.sql.Encoders
     df.select(col("k")).as[String](Encoders.STRING).collect()
       .map(repro.core.Bytes.utf8)
   }

@@ -4,17 +4,22 @@ package repro.surf
   * block of the LOUDS-SPARSE trie. Rank uses per-word cumulative counts
   * (32 bits / 64 bits ≈ 50% overhead here; real SuRF uses sparser samples —
   * memory accounting uses the paper's ~6.25% figure, see [[memoryBits]]).
+  * Select samples the word of every 64th set bit, which bounds its binary
+  * search to the words between two samples.
   */
 final class BitVec(val nbits: Int) {
   private val words = new Array[Long](math.max(1, (nbits + 63) >>> 6))
   private var ranks: Array[Int] = _
+  private var selects: Array[Int] = _
   private var total = 0
 
   def set(i: Int): Unit = words(i >>> 6) |= 1L << (i & 63)
 
   def get(i: Int): Boolean = (words(i >>> 6) & (1L << (i & 63))) != 0
 
-  /** Freeze and precompute rank directory. Call once after all sets. */
+  /** Freeze and precompute the rank and select directories. Call once after
+    * all sets.
+    */
   def build(): Unit = {
     ranks = new Array[Int](words.length + 1)
     var i = 0
@@ -23,6 +28,15 @@ final class BitVec(val nbits: Int) {
       i += 1
     }
     total = ranks(words.length)
+    // selects(j): the word holding the (64·j + 1)-th set bit
+    selects = new Array[Int]((total + 63) >>> 6)
+    var j = 0
+    i = 0
+    while (j < selects.length) {
+      while (ranks(i + 1) <= (j << 6)) i += 1
+      selects(j) = i
+      j += 1
+    }
   }
 
   def ones: Int = total
@@ -41,9 +55,11 @@ final class BitVec(val nbits: Int) {
   /** Position of the k-th set bit (k ≥ 1). */
   def select1(k: Int): Int = {
     require(k >= 1 && k <= total, s"select1($k) out of range (total=$total)")
-    // binary search the word whose cumulative rank reaches k
-    var lo = 0
-    var hi = words.length - 1
+    // binary search the word whose cumulative rank reaches k, between the
+    // words of the sampled ones just below and just above it
+    val j = (k - 1) >>> 6
+    var lo = selects(j)
+    var hi = if (j + 1 < selects.length) selects(j + 1) else words.length - 1
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
       if (ranks(mid + 1) >= k) hi = mid else lo = mid + 1
@@ -58,6 +74,19 @@ final class BitVec(val nbits: Int) {
       w &= w - 1
     }
     -1
+  }
+
+  /** Position of the first set bit at or after `i`, or `nbits` if none. */
+  def nextSetBit(i: Int): Int = {
+    var w = i >>> 6
+    if (w >= words.length) return nbits
+    var word = words(w) & (-1L << (i & 63))
+    while (word == 0) {
+      w += 1
+      if (w == words.length) return nbits
+      word = words(w)
+    }
+    (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
   }
 
   /** Succinct-accounting size: n bits payload + 6.25% rank directory. */

@@ -33,9 +33,14 @@ final class Surf private (
   private val n = labels.length
 
   /** End (exclusive) of the node whose first entry is `start`. */
-  private def nodeEnd(start: Int): Int = {
-    var i = start + 1
-    while (i < n && !louds.get(i)) i += 1
+  private def nodeEnd(start: Int): Int = louds.nextSetBit(start + 1)
+
+  /** First real (non-terminal) entry of the node `[pos, end)` whose label is
+    * ≥ `b` (unsigned), or `end`; labels within a node are sorted.
+    */
+  private def seek(pos: Int, end: Int, b: Int): Int = {
+    var i = if (isTerm.get(pos)) pos + 1 else pos
+    while (i < end && (labels(i) & 0xff) < b) i += 1
     i
   }
 
@@ -50,16 +55,10 @@ final class Surf private (
     var pos = 0
     var depth = 0
     while (true) {
-      val end = nodeEnd(pos)
       if (depth == key.length) return isTerm.get(pos) // terminal is first entry
-      val b = key(depth)
-      var i = pos
-      var found = -1
-      while (i < end && found < 0) {
-        if (!isTerm.get(i) && labels(i) == b) found = i
-        i += 1
-      }
-      if (found < 0) return false
+      val end = nodeEnd(pos)
+      val found = seek(pos, end, key(depth) & 0xff)
+      if (found == end || labels(found) != key(depth)) return false
       if (hasChild.get(found)) { pos = childStart(found); depth += 1 }
       else {
         if (suffixBits == 0) return true
@@ -88,11 +87,9 @@ final class Surf private (
   private def lowerBound(pos: Int, lo: Array[Byte], depth: Int, path: ArrayBuffer[Byte]): Boolean = {
     if (depth == lo.length) return leftmost(pos, path) // whole node ≥ lo
     val end = nodeEnd(pos)
-    val b = lo(depth) & 0xff
-    // skip the terminal entry (its key is a proper prefix of lo, hence < lo)
-    var i = if (isTerm.get(pos)) pos + 1 else pos
-    while (i < end && (labels(i) & 0xff) < b) i += 1
-    if (i < end && (labels(i) & 0xff) == b) {
+    // seek skips the terminal entry (its key is a proper prefix of lo, hence < lo)
+    var i = seek(pos, end, lo(depth) & 0xff)
+    if (i < end && labels(i) == lo(depth)) {
       path += labels(i)
       val found =
         if (hasChild.get(i)) lowerBound(childStart(i), lo, depth + 1, path)

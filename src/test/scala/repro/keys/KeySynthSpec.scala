@@ -9,10 +9,48 @@ class KeySynthSpec extends SparkSpec {
   private lazy val wikiK = KeySynth.collectKeys(KeySynth.wiki(spark, 3000))
   private lazy val urlK  = KeySynth.collectKeys(KeySynth.urls(spark, 3000))
 
+  private def same(a: Array[Array[Byte]], b: Array[Array[Byte]]): Boolean =
+    a.length == b.length && a.indices.forall(i => java.util.Arrays.equals(a(i), b(i)))
+
   test("emails: non-empty, distinct, deterministic") {
     assert(email.nonEmpty)
+    assert(email.map(Bytes.hex).distinct.length == email.length)
     val again = KeySynth.collectKeys(KeySynth.emails(spark, 3000))
-    assert(email.map(Bytes.str).sorted.toSeq == again.map(Bytes.str).sorted.toSeq)
+    assert(same(email, again))
+  }
+
+  test("every dataset is one partition") {
+    for (name <- Seq("email", "wiki", "url"))
+      assert(KeySynth.dataset(spark, name, 500).rdd.getNumPartitions == 1, name)
+  }
+
+  test("emails: the DataFrame holds the driver draw, byte for byte and in order") {
+    val driver = KeySynth.draw(3000, 5, KeySynth.emailKey).map(Bytes.utf8)
+    assert(same(KeySynth.collectKeys(KeySynth.emails(spark, 3000, 5)), driver))
+  }
+
+  test("draw(n) is a prefix of draw(2n)") {
+    for (key <- Seq[(Long, Long) => String](KeySynth.emailKey, KeySynth.wikiKey, KeySynth.urlKey)) {
+      val short = KeySynth.draw(20000, 3, key)
+      val long = KeySynth.draw(40000, 3, key)
+      assert(short.length < long.length && long.take(short.length).sameElements(short))
+    }
+  }
+
+  test("pinned SHA-256 of the first 1,000 keys of each dataset at its default seed") {
+    // one digest for every core count: run under SPARK_MASTER=local[1], local[4], local[16]
+    val pinned = Map(
+      "email" -> "e338f2ef410e0341d26e69d07010e41d5298b6e4a4d141d5e49473eb87e36a7f",
+      "wiki"  -> "71d466f72db47e77cff662b890194b0a55e39227501949f718a51ffffe777d64",
+      "url"   -> "ed1e18e2c9e0dd45b70ee8766d9caa854a5c10f5058a15c13851945d986e4215",
+    )
+    for ((name, digest) <- pinned) {
+      val sha = java.security.MessageDigest.getInstance("SHA-256")
+      val keys = KeySynth.collectKeys(KeySynth.dataset(spark, name, 2000)).take(1000)
+      assert(keys.length == 1000, name)
+      keys.foreach { k => sha.update(k); sha.update('\n'.toByte) }
+      assert(Bytes.hex(sha.digest()) == digest, name)
+    }
   }
 
   test("emails: host-reversed shape with @") {

@@ -165,4 +165,36 @@ class SurfSpec extends AnyFunSuite {
       assert(bv.select1(k + 1) == pos, s"select1(${k + 1})")
     }
   }
+
+  test("BitVec nextSetBit and select1 agree with a linear scan (random vectors and edges)") {
+    def check(nbits: Int, bits: Iterable[Int], what: String): Unit = {
+      val ref = new Array[Boolean](nbits)
+      bits.foreach(ref(_) = true)
+      val bv = new BitVec(nbits)
+      bits.foreach(bv.set)
+      bv.build()
+      val ones = (0 until nbits).filter(ref(_))
+      assert(bv.ones == ones.length, what)
+      var next = nbits
+      for (i <- nbits to 0 by -1) {
+        if (i < nbits && ref(i)) next = i
+        assert(bv.nextSetBit(i) == next, s"$what: nextSetBit($i)")
+      }
+      ones.zipWithIndex.foreach { case (pos, k) =>
+        assert(bv.select1(k + 1) == pos, s"$what: select1(${k + 1})")
+      }
+    }
+    check(0, Nil, "empty")
+    check(300, Nil, "all clear")
+    for (n <- Seq(1, 63, 64, 65, 1000, 1024)) check(n, 0 until n, s"all ones of $n")
+    for (n <- Seq(65, 1000, 1024)) check(n, Seq(0, 63, 64, n - 1), s"bits 0, 63, 64, last of $n")
+    // 64 ones, 40 empty words, 64 ones, 40 empty words, 3 ones: consecutive
+    // select samples fall in words far apart
+    val gaps = (0 until 64) ++ (41 * 64 until 42 * 64) ++ Seq(83 * 64, 83 * 64 + 5, 90 * 64 - 1)
+    check(90 * 64, gaps, "empty words between samples")
+    val rnd = new scala.util.Random(78)
+    for (density <- Seq(0.001, 0.02, 0.5, 0.97); n <- Seq(777, 4096)) {
+      check(n, (0 until n).filter(_ => rnd.nextDouble() < density), s"density $density of $n")
+    }
+  }
 }

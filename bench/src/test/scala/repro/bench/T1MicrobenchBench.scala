@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.core.{Hope, Scheme}
 import repro.eval.{Microbench, Tables}
 
 /** T1 ⇔ Figure 8: compression rate / encoding latency / dictionary memory

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{Bytes, Hope, Scheme}
+import repro.core.{Bytes, Scheme}
 import repro.eval.{Harness, Tables}
 import repro.surf.Surf
 

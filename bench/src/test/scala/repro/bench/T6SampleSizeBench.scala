@@ -1,7 +1,7 @@
 package repro.bench
 
-import repro.core.Scheme
-import repro.eval.{Microbench, Tables}
+import repro.core.{Hope, Scheme}
+import repro.eval.Tables
 
 /** T6 ⇔ Figure 13 (Appendix A): compression rate vs. sample size. The
   * paper's finding: 1% samples saturate CPR; higher-order schemes are more
@@ -18,7 +18,7 @@ class T6SampleSizeBench extends BenchSuite {
         Scheme.NGrams(3, 1 << 16), Scheme.NGrams(4, 1 << 16))
     } yield {
       val sample = keys.take(math.max(16, (keys.length * frac).toInt))
-      (frac, scheme.name, Microbench.run("email", keys, sample, scheme).cpr)
+      (frac, scheme.name, Hope.compressionRate(Hope.build(sample, scheme), keys.iterator))
     }
 
   test("emit T6 (Fig. 13) table") {

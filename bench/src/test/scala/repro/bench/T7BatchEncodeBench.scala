@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.core.{Bytes, Hope, Scheme}
-import repro.eval.Tables
+import repro.eval.{Measure, Tables}
 
 /** T7 ⇔ Figure 14 (Appendix B): encoding latency vs. batch size over a
   * pre-sorted email sample. Paper claims: batching helps the fixed-interval
@@ -18,14 +18,8 @@ class T7BatchEncodeBench extends BenchSuite {
         Scheme.NGrams(3, 1 << 16), Scheme.NGrams(4, 1 << 16), Scheme.AlmImproved(1 << 12))
       hope = BenchBase.hope("email", scheme)
       batch <- Seq(1, 2, 32)
-    } yield {
-      hope.encodeBatchSorted(sorted, batch) // full-size JIT warm-up pass
-      val t0 = System.nanoTime()
-      val out = hope.encodeBatchSorted(sorted, batch)
-      val ns = (System.nanoTime() - t0).toDouble / totalBytes
-      assert(out.length == sorted.length)
-      (scheme.name, batch, ns)
-    }
+    } yield (scheme.name, batch,
+      Measure.nsPerOp(1)(_ => hope.encodeBatchSorted(sorted, batch).length) / totalBytes)
 
   test("emit T7 (Fig. 14) table") {
     Tables.emit("T7_batch", Tables.render(

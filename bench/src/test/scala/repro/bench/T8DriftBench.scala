@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.core.{Hope, Scheme}
-import repro.eval.{Microbench, Tables}
+import repro.eval.Tables
 import repro.keys.KeySynth
 
 /** T8 ⇔ Figure 15 (Appendix C): compression rate under a dramatic key-
@@ -24,7 +24,7 @@ class T8DriftBench extends BenchSuite {
       (data, dLabel) <- Seq((aKeys, "Email-A"), (bKeys, "Email-B"))
     } yield {
       val hope = Hope.build(dict.take(math.max(1000, dict.length / 100)), scheme)
-      (scheme.name, s"$label,$dLabel", Microbench.measure("email", data, hope).cpr)
+      (scheme.name, s"$label,$dLabel", Hope.compressionRate(hope, data.iterator))
     }
 
   test("emit T8 (Fig. 15) table") {

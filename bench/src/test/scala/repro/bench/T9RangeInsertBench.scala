@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.eval.{Configs, Harness, KVTree, Tables, TreeEvalRow}
+import repro.eval.{Configs, Harness, KVTree, Measure, Tables, TreeEvalRow}
 
 /** T9 ⇔ Figure 16 (Appendix D): range-query and insert latency for the four
   * KV indexes on email keys (the paper reports the same qualitative story as
@@ -20,7 +20,7 @@ class T9RangeInsertBench extends BenchSuite {
       val hope = scheme.map(BenchBase.hope("email", _))
       val runs = Seq.fill(3)(Harness.runTree(tree, "email", name, keys, hope,
         nPoint = 4000, nRange = 1500))
-      def median(f: TreeEvalRow => Double): Double = runs.map(f).sorted.apply(1)
+      def median(f: TreeEvalRow => Double): Double = Measure.median(runs.map(f))
       // memory, height and CPR do not depend on timing: equal in every run
       runs.head.copy(pointNs = median(_.pointNs), rangeNs = median(_.rangeNs),
         insertNs = median(_.insertNs))

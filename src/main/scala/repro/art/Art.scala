@@ -177,14 +177,14 @@ final class Art extends Serializable {
   /** Index-mode memory: OCPS prefixes (≤8 B accounted) + 8 B tuple pointer
     * per leaf; key bytes live in the table, not the index (§7.2 ART).
     */
-  def ocpsMemoryBytes: Long = memory(ocps = true, countKeyBytes = false)
+  def ocpsMemoryBytes: Long = memory(ocps = true)
 
   /** Dictionary-mode memory: full prefixes + leaf key bytes + 8 B entries. */
-  def dictMemoryBytes: Long = memory(ocps = false, countKeyBytes = true)
+  def dictMemoryBytes: Long = memory(ocps = false)
 
-  private def memory(ocps: Boolean, countKeyBytes: Boolean): Long = {
+  private def memory(ocps: Boolean): Long = {
     var total = 0L
-    def leafCost(l: Leaf): Long = 16L + 8L + (if (countKeyBytes) 16L + l.key.length else 0L)
+    def leafCost(l: Leaf): Long = 16L + 8L + (if (ocps) 0L else 16L + l.key.length)
     def walk(n: Node): Unit = n match {
       case l: Leaf => total += leafCost(l)
       case in: Inner =>

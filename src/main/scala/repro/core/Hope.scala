@@ -150,21 +150,43 @@ final class BuiltHope(
 
   // ---------------------------------------------------------------- decoding
 
-  /** Bit-trie over the prefix-free codes; built lazily (tests/debugging only —
-    * search-tree queries never reconstruct keys, §4.1).
+  /** The codes left-aligned to 64 bits, with the sign bit flipped so that
+    * signed order is unsigned order. Alphabetic codes are prefix-free and
+    * increase with the entry, so this array is sorted; built lazily (tests
+    * and debugging only — search-tree queries never reconstruct keys, §4.1).
     */
-  @transient private lazy val decodeTrie: DecodeTrie = DecodeTrie(codes, codeLens)
+  @transient private lazy val alignedCodes: Array[Long] =
+    Array.tabulate(codes.length)(e => (codes(e) << (64 - codeLens(e))) ^ Long.MinValue)
 
-  /** Lossless inverse of [[encode]] (entropy coding is lossless, §2). */
+  /** Lossless inverse of [[encode]] (entropy coding is lossless, §2). The
+    * code at each position is the last one, in code order, that is not
+    * above the next 64 bits of the stream.
+    */
   def decode(enc: Encoded): Array[Byte] = {
     val out = new scala.collection.mutable.ArrayBuilder.ofByte
     var pos = 0
     while (pos < enc.bitLen) {
-      val (entry, used) = decodeTrie.next(enc, pos)
-      out ++= intervals.symbols(entry)
-      pos += used
+      val w = window(enc, pos)
+      val i = java.util.Arrays.binarySearch(alignedCodes, w ^ Long.MinValue)
+      val e = if (i >= 0) i else -i - 2
+      require(e >= 0 && w >>> (64 - codeLens(e)) == codes(e), "invalid code stream")
+      require(pos + codeLens(e) <= enc.bitLen, "truncated code stream")
+      out ++= intervals.symbols(e)
+      pos += codeLens(e)
     }
     out.result()
+  }
+
+  /** The 64 bits of `enc.bytes` from bit `pos` on, zero past the array's end. */
+  private def window(enc: Encoded, pos: Int): Long = {
+    def byteAt(j: Int): Long = if (j < enc.bytes.length) enc.bytes(j) & 0xffL else 0L
+    val first = pos >>> 3
+    var w = 0L
+    var j = 0
+    while (j < 8) { w = (w << 8) | byteAt(first + j); j += 1 }
+    val shift = pos & 7
+    if (shift > 0) w = (w << shift) | (byteAt(first + 8) >>> (8 - shift))
+    w
   }
 }
 
@@ -181,50 +203,6 @@ object BuiltHope {
   }
 
   private val scratch: ThreadLocal[Scratch] = ThreadLocal.withInitial(() => new Scratch)
-}
-
-/** Binary trie mapping prefix-free codes back to entry indices. */
-private final class DecodeTrie(child0: Array[Int], child1: Array[Int], entry: Array[Int]) {
-  /** Decode one code starting at bit `pos`; returns (entry, bitsConsumed). */
-  def next(enc: Encoded, pos: Int): (Int, Int) = {
-    var node = 0
-    var p = pos
-    while (entry(node) < 0) {
-      require(p < enc.bitLen, "truncated code stream")
-      val bit = (enc.bytes(p >>> 3) >>> (7 - (p & 7))) & 1
-      node = if (bit == 0) child0(node) else child1(node)
-      require(node >= 0, "invalid code stream")
-      p += 1
-    }
-    (entry(node), p - pos)
-  }
-}
-
-private object DecodeTrie {
-  def apply(codes: Array[Long], codeLens: Array[Int]): DecodeTrie = {
-    val c0 = scala.collection.mutable.ArrayBuffer(-1)
-    val c1 = scala.collection.mutable.ArrayBuffer(-1)
-    val en = scala.collection.mutable.ArrayBuffer(-1)
-    var e = 0
-    while (e < codes.length) {
-      var node = 0
-      var i = codeLens(e) - 1
-      while (i >= 0) {
-        val bit = (codes(e) >>> i) & 1L
-        val arr = if (bit == 0) c0 else c1
-        if (arr(node) < 0) {
-          arr(node) = c0.length
-          c0 += -1; c1 += -1; en += -1
-        }
-        node = arr(node)
-        i -= 1
-      }
-      require(en(node) == -1, s"duplicate/prefix code at entry $e")
-      en(node) = e
-      e += 1
-    }
-    new DecodeTrie(c0.toArray, c1.toArray, en.toArray)
-  }
 }
 
 /** HOPE build phase (§4.1 Figure 5): Symbol Selector → Code Assigner →

@@ -65,27 +65,15 @@ object Harness {
     val zipf = new Zipf(nLoad, seed = 31)
     val perm = KeyShuffle.permutation(nLoad, seed = 17)
 
-    // --- point queries (workload C), with warm-up
-    val pointIdx = Array.fill(nPoint)(perm(zipf.next()))
-    var w = 0
-    while (w < nPoint / 5) { tree.get(enc(keys(pointIdx(w)))); w += 1 }
-    var sink = 0L
-    val tp0 = System.nanoTime()
-    i = 0
-    while (i < nPoint) { sink += tree.get(enc(keys(pointIdx(i)))); i += 1 }
-    val pointNs = (System.nanoTime() - tp0).toDouble / nPoint
-    require(sink >= 0, "unreachable — keeps the JIT honest")
+    // --- point queries (workload C)
+    val pointIdx = zipf.draw(nPoint).map(perm)
+    val pointNs = Measure.nsPerOp(nPoint)(i => tree.get(enc(keys(pointIdx(i)))))
 
     // --- range queries (workload E): start at a Zipf key, scan ScanLen
-    val rangeIdx = Array.fill(nRange)(perm(zipf.next()))
-    var sink2 = 0
-    val tr0 = System.nanoTime()
-    i = 0
-    while (i < nRange) { sink2 += tree.scan(enc(keys(rangeIdx(i))), ScanLen); i += 1 }
-    val rangeNs = (System.nanoTime() - tr0).toDouble / nRange
-    require(sink2 >= 0)
+    val rangeIdx = zipf.draw(nRange).map(perm)
+    val rangeNs = Measure.nsPerOp(nRange)(i => tree.scan(enc(keys(rangeIdx(i))), ScanLen))
 
-    // --- inserts: the held-out 10%
+    // --- inserts: the held-out 10%, one pass (a second would time updates)
     val ti0 = System.nanoTime()
     i = nLoad
     while (i < keys.length) { tree.insert(enc(keys(i)), i.toLong); i += 1 }
@@ -115,34 +103,28 @@ object Harness {
     val zipf = new Zipf(keys.length, seed = 31)
     val perm = KeyShuffle.permutation(keys.length, seed = 17)
 
-    val pointIdx = Array.fill(nPoint)(perm(zipf.next()))
-    var w = 0
-    while (w < nPoint / 5) { surf.mayContain(enc(keys(pointIdx(w)))); w += 1 }
-    var hits = 0
-    val tp0 = System.nanoTime()
-    var i = 0
-    while (i < nPoint) { if (surf.mayContain(enc(keys(pointIdx(i))))) hits += 1; i += 1 }
-    val pointNs = (System.nanoTime() - tp0).toDouble / nPoint
-    require(hits == nPoint, s"SuRF false negative: $hits/$nPoint")
+    // a filter may say yes to an absent key, never no to a stored one
+    def falseNegative(k: Array[Byte]): Nothing =
+      throw new IllegalArgumentException(s"SuRF false negative on ${Bytes.hex(k)}")
+
+    val pointIdx = zipf.draw(nPoint).map(perm)
+    val pointNs = Measure.nsPerOp(nPoint) { i =>
+      val k = keys(pointIdx(i))
+      if (surf.mayContain(enc(k))) 1L else falseNegative(k)
+    }
 
     // closed ranges: [k, k + last byte + 1]
-    val rangeIdx = Array.fill(nRange)(perm(zipf.next()))
-    var rHits = 0
-    val tr0 = System.nanoTime()
-    i = 0
-    while (i < nRange) {
+    val rangeIdx = zipf.draw(nRange).map(perm)
+    val rangeNs = Measure.nsPerOp(nRange) { i =>
       val k = keys(rangeIdx(i))
       val hiKey = k.clone()
       hiKey(hiKey.length - 1) = (hiKey(hiKey.length - 1) + 1).toByte
-      if (surf.mayContainRange(enc(k), enc(hiKey))) rHits += 1
-      i += 1
+      if (surf.mayContainRange(enc(k), enc(hiKey))) 1L else falseNegative(k)
     }
-    val rangeNs = (System.nanoTime() - tr0).toDouble / nRange
-    require(rHits == nRange, s"SuRF range false negative: $rHits/$nRange")
 
-    var fp = 0
-    negatives.foreach { nk => if (surf.mayContain(enc(nk))) fp += 1 }
-    val fpr = if (negatives.isEmpty) 0.0 else fp.toDouble / negatives.length
+    val fpr =
+      if (negatives.isEmpty) 0.0
+      else negatives.count(nk => surf.mayContain(enc(nk))).toDouble / negatives.length
 
     val dictBytes = hope.map(_.dictMemoryBytes).getOrElse(0L)
     (TreeEvalRow("SuRF", dataset, schemeName, keys.length, pointNs, rangeNs, 0.0,

@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.core.{BuiltHope, Hope, Scheme}
+import repro.core.{Hope, Scheme}
 
 /** Figure 8 microbenchmark driver: per (scheme, dataset, dict size) measure
   * compression rate, single-threaded encoding latency per source byte, and
@@ -9,36 +9,19 @@ import repro.core.{BuiltHope, Hope, Scheme}
 object Microbench {
 
   final case class Row(dataset: String, scheme: String, entries: Int,
-                       cpr: Double, nsPerChar: Double, dictBytes: Long,
-                       buildStats: repro.core.BuildStats) extends Serializable
+                       cpr: Double, nsPerChar: Double, dictBytes: Long) extends Serializable
 
-  /** Build from `sample`, then measure over `keys` (single thread, one pass
-    * warm-up + one timed pass, keys compressed one-at-a-time as in §6.1).
+  /** Build from `sample`, then measure over `keys` (single thread, keys
+    * compressed one at a time as in §6.1, timed by [[Measure.nsPerOp]]).
     */
   def run(dataset: String, keys: Array[Array[Byte]], sample: Array[Array[Byte]],
           scheme: Scheme): Row = {
     val hope = Hope.build(sample, scheme)
-    measure(dataset, keys, hope)
-  }
-
-  def measure(dataset: String, keys: Array[Array[Byte]], hope: BuiltHope): Row = {
-    var raw = 0L
-    var bits = 0L
-    var i = 0
-    val warm = math.min(keys.length, 5000)
-    while (i < warm) { hope.encode(keys(i)); i += 1 } // JIT warm-up
-    val t0 = System.nanoTime()
-    i = 0
-    while (i < keys.length) {
-      val k = keys(i)
-      raw += k.length
-      bits += hope.encode(k).bitLen
-      i += 1
-    }
-    val ns = (System.nanoTime() - t0).toDouble
+    val nsPerKey = Measure.nsPerOp(keys.length)(i => hope.encode(keys(i)).bitLen)
+    val raw = keys.map(_.length.toLong).sum
     Row(dataset, hope.scheme.name, hope.entries,
-      cpr = raw * 8.0 / bits, nsPerChar = ns / raw, dictBytes = hope.dictMemoryBytes,
-      buildStats = hope.stats)
+      cpr = Hope.compressionRate(hope, keys.iterator), nsPerChar = nsPerKey * keys.length / raw,
+      dictBytes = hope.dictMemoryBytes)
   }
 }
 

@@ -9,7 +9,6 @@ import repro.hot.CritBitTrie
   * partial-key structures (ART, HOT) verify against the stored key.
   */
 trait KVTree {
-  def name: String
   def insert(key: Array[Byte], value: Long): Unit
   /** Point lookup: tuple id or -1. */
   def get(key: Array[Byte]): Long
@@ -27,7 +26,7 @@ object KVTree {
     case "ART"          => new ArtTree
     case "HOT"          => new HotTree
     case "B+tree"       => new BTreeAdapter(new BPlusTree())
-    case "PrefixB+tree" => new BTreeAdapter(new PrefixBPlusTree()) { override def name = "PrefixB+tree" }
+    case "PrefixB+tree" => new BTreeAdapter(new PrefixBPlusTree())
     case other          => throw new IllegalArgumentException(s"unknown tree $other")
   }
 }
@@ -35,7 +34,6 @@ object KVTree {
 /** ART with OCPS-style memory accounting (§7.2: partial keys + tuple ptr). */
 final class ArtTree extends KVTree {
   private val art = new Art
-  override def name = "ART"
   override def insert(key: Array[Byte], value: Long): Unit = art.insert(key, value)
   override def get(key: Array[Byte]): Long = art.get(key)
   override def scan(low: Array[Byte], limit: Int): Int = art.scan(low, limit).size
@@ -46,7 +44,6 @@ final class ArtTree extends KVTree {
 /** HOT substitute: crit-bit trie (branching-points-only storage). */
 final class HotTree extends KVTree {
   private val t = new CritBitTrie
-  override def name = "HOT"
   override def insert(key: Array[Byte], value: Long): Unit = t.insert(key, value)
   override def get(key: Array[Byte]): Long = t.get(key)
   override def scan(low: Array[Byte], limit: Int): Int = t.scan(low, limit).size
@@ -55,8 +52,7 @@ final class HotTree extends KVTree {
 }
 
 /** TLX-style (and Prefix) B+tree: full keys stored by reference. */
-class BTreeAdapter(t: BPlusTree) extends KVTree {
-  override def name = "B+tree"
+final class BTreeAdapter(t: BPlusTree) extends KVTree {
   override def insert(key: Array[Byte], value: Long): Unit = t.insert(key, value)
   override def get(key: Array[Byte]): Long = t.get(key)
   override def scan(low: Array[Byte], limit: Int): Int = t.scan(low, limit).size

@@ -98,9 +98,11 @@ final class CritBitTrie {
     if (Bytes.compare(l.key, key) == 0) l.value else -1L
   }
 
-  /** Up to `limit` entries ≥ low, in key order. Two-phase crit-bit seek:
-    * walk low's bits to a leaf, find the first discriminating bit, then
-    * replay the walk collecting right-siblings above that bit.
+  /** Up to `limit` entries ≥ low, in key order. Walks low's bits to a leaf
+    * and finds `d`, the first bit at which low and that leaf differ, then
+    * seeks low from the root again. The keys below an inner node past bit
+    * `d` agree with that leaf up to bit `d`, so they are all ≥ low iff low
+    * has a 0 there; elsewhere a right subtree passed by is all ≥ low.
     */
   def scan(low: Array[Byte], limit: Int): ArrayBuffer[(Array[Byte], Long)] = {
     val acc = new ArrayBuffer[(Array[Byte], Long)](limit)
@@ -110,52 +112,21 @@ final class CritBitTrie {
       val in = node.asInstanceOf[Inner]
       node = if (bit(low, in.bitIdx) == 0) in.left else in.right
     }
-    val probe = node.asInstanceOf[Leaf]
-    val d = firstDiffBit(low, probe.key)
-    // replay from root; pending holds unvisited right subtrees ≥ low
-    val pending = new ArrayBuffer[Node]
-    var cur = root
-    var include: Node = null
-    while (include == null) {
-      cur match {
-        case l: Leaf =>
-          // subtree is this single leaf; include iff ≥ low
-          include = if (Bytes.compare(l.key, low) >= 0 || (d < 0 && zeroPadEq(l.key, low))) l else null
-          if (include == null) include = EmptyMarker
-        case in: Inner =>
-          if (d >= 0 && in.bitIdx >= d) {
-            // all keys in this subtree agree with probe on bits [0, d); they
-            // all have probe's bit at d, low has the other value
-            include = if (bit(low, d) == 0) cur else EmptyMarker
-          } else {
-            if (bit(low, in.bitIdx) == 0) { pending += in.right; cur = in.left }
-            else cur = in.right
-          }
-      }
+    val d = firstDiffBit(low, node.asInstanceOf[Leaf].key)
+    def all(n: Node): Unit = if (acc.size < limit) n match {
+      case l: Leaf   => acc += ((l.key, l.value))
+      case in: Inner => all(in.left); all(in.right)
     }
-    if (include ne EmptyMarker) collect(include, low, limit, acc, checkLow = true)
-    var i = pending.length - 1
-    while (i >= 0 && acc.size < limit) {
-      collect(pending(i), low, limit, acc, checkLow = false)
-      i -= 1
+    def seek(n: Node): Unit = n match {
+      case l: Leaf => if (acc.size < limit && Bytes.compare(l.key, low) >= 0) acc += ((l.key, l.value))
+      case in: Inner =>
+        if (d >= 0 && in.bitIdx > d) { if (bit(low, d) == 0) all(in) }
+        else if (bit(low, in.bitIdx) == 0) { seek(in.left); all(in.right) }
+        else seek(in.right)
     }
+    seek(root)
     acc
   }
-
-  private val EmptyMarker: Node = new Leaf(Array.emptyByteArray, -1L)
-
-  private def zeroPadEq(a: Array[Byte], b: Array[Byte]): Boolean = firstDiffBit(a, b) < 0
-
-  private def collect(node: Node, low: Array[Byte], limit: Int,
-                      acc: ArrayBuffer[(Array[Byte], Long)], checkLow: Boolean): Unit =
-    node match {
-      case l: Leaf =>
-        if (acc.size < limit && (!checkLow || Bytes.compare(l.key, low) >= 0))
-          acc += ((l.key, l.value))
-      case in: Inner =>
-        if (acc.size < limit) collect(in.left, low, limit, acc, checkLow)
-        if (acc.size < limit) collect(in.right, low, limit, acc, checkLow)
-    }
 
   /** Memory: internal nodes (bit index + two pointers) + one tuple pointer
     * per leaf; key bytes live in the table (partial-key structure, §7.2).

@@ -66,7 +66,7 @@ final class BitVec(val nbits: Int) {
     }
     var remaining = k - ranks(lo)
     var w = words(lo)
-    var pos = lo << 6
+    val pos = lo << 6
     while (true) {
       val lsb = java.lang.Long.numberOfTrailingZeros(w)
       remaining -= 1

@@ -169,6 +169,22 @@ class SchemePropertiesSpec extends AnyFunSuite {
     assert(e.getMessage.contains("entry 65 (symbol 41)"), e.getMessage)
   }
 
+  test("decode rejects a truncated and an invalid code stream") {
+    // Hu-Tucker codes form a full tree: a stream cut inside a code is truncated
+    val single = built(Scheme.SingleChar.name)
+    val z = single.encode(Bytes.of("~"))
+    assert(z.bitLen > 1, z.toString)
+    val cut = intercept[IllegalArgumentException](single.decode(Encoded(z.bytes, z.bitLen - 1)))
+    assert(cut.getMessage.contains("truncated code stream"), cut.getMessage)
+    // appending a 0 to the last code leaves its 1-branch unused: no code
+    // starts a stream of ones
+    val codes = single.codes.clone(); codes(255) <<= 1
+    val lens = single.codeLens.clone(); lens(255) += 1
+    val gap = new BuiltHope(single.scheme, single.intervals, single.index, codes, lens, single.stats)
+    val bad = intercept[IllegalArgumentException](gap.decode(Encoded(Array.fill(8)((-1).toByte), 64)))
+    assert(bad.getMessage.contains("invalid code stream"), bad.getMessage)
+  }
+
   test("Double-Char dictionary has exactly 65792 entries (256·257)") {
     assert(built(Scheme.DoubleChar.name).entries == 65792)
   }

@@ -64,7 +64,6 @@ class SurfSpec extends AnyFunSuite {
   test("range query: no false negatives on wider ranges containing a key") {
     val keys = randKeys(3000, 6, 7)
     val surf = Surf(keys)
-    val rnd = new scala.util.Random(8)
     keys.take(1000).foreach { k =>
       val lo = k.clone()
       if ((lo(lo.length - 1) & 0xff) > 0) lo(lo.length - 1) = (lo(lo.length - 1) - 1).toByte

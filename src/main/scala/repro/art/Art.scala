@@ -307,7 +307,6 @@ final class ArtDictIndex private (art: Art) extends DictIndex {
     leaf.value.toInt
   }
   override def memoryBytes: Long = art.dictMemoryBytes
-  override def name: String = "art"
 }
 
 object ArtDictIndex {

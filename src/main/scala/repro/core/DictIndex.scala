@@ -15,7 +15,6 @@ trait DictIndex extends Serializable {
     * again.
     */
   def storesCodes: Boolean = false
-  def name: String
 }
 
 /** Single-Char array dictionary: 256 fixed intervals, entry = first byte. */
@@ -24,7 +23,6 @@ final class SingleCharIndex extends DictIndex {
   // 256 entries × (8-bit len + 32-bit code) as in the paper's accounting.
   override def memoryBytes: Long = 256L * 5
   override def storesCodes: Boolean = true
-  override def name: String = "array-1"
 }
 
 /** Double-Char array dictionary: per first byte b, slot b·257 is the
@@ -39,7 +37,6 @@ final class DoubleCharIndex extends DictIndex {
   }
   override def memoryBytes: Long = 257L * 256 * 5
   override def storesCodes: Boolean = true
-  override def name: String = "array-2"
 }
 
 /** Baseline floor lookup via binary search over the sorted boundaries — the
@@ -58,5 +55,4 @@ final class SortedArrayIndex(boundaries: Array[Array[Byte]]) extends DictIndex {
   }
   override def memoryBytes: Long =
     boundaries.map(b => 16L + b.length + 8L).sum // array header + bytes + slot ptr
-  override def name: String = "sorted-array"
 }

@@ -20,14 +20,23 @@ final class BuiltHope(
     val stats: BuildStats,
 ) extends Serializable {
 
-  private val symbolLens: Array[Int] = intervals.symbolLens
-
   {
-    // appendBits writes at most 64 bits; a longer code would corrupt the output
+    // a code is packed as one 64-bit value; a longer one would corrupt the output
     val e = codeLens.indexWhere(l => l < 0 || l > 64)
     require(e < 0, s"entry $e (symbol ${Bytes.hex(intervals.symbols(e))}) has a " +
       s"${codeLens(e)}-bit code; the encoder packs at most 64 bits per code")
   }
+
+  /** Longest code: with at least one byte per symbol, a key of `n` bytes
+    * encodes to at most `n × maxCodeLen` bits.
+    */
+  private val maxCodeLen: Int = codeLens.foldLeft(0)(math.max)
+
+  /** The encode loop of this dictionary kind, over the codes and, per entry,
+    * symbol length `<< 8 |` code length.
+    */
+  private val kernel: EncodeKernel = EncodeKernel(index, codes,
+    Array.tabulate(codes.length)(e => intervals.symbolLens(e) << 8 | codeLens(e)))
 
   /** Dictionary memory (structure + code/len arrays) for Figure 8 row 3 and
     * the tree-evaluation memory accounting (HOPE size included, §7.2).
@@ -40,32 +49,9 @@ final class BuiltHope(
 
   /** Encode an arbitrary byte string (completeness guarantees progress). */
   def encode(key: Array[Byte]): Encoded = {
-    val s = BuiltHope.scratch.get()
-    s.bitPos = 0
-    emit(s, key, 0, key.length)
-    pack(s.words, s.bitPos)
-  }
-
-  /** The hot path of every encode: encodes the symbols of `key` from offset
-    * `from` on while they start below `until`, appending their codes to `s`,
-    * and returns the offset after the last one.
-    */
-  private def emit(s: BuiltHope.Scratch, key: Array[Byte], from: Int, until: Int): Int = {
-    var words = s.words
-    var bitPos = s.bitPos
-    var off = from
-    while (off < until) {
-      val e = index.lookup(key, off)
-      val len = codeLens(e)
-      if (((bitPos + len) >>> 6) + 1 > words.length)
-        words = java.util.Arrays.copyOf(words, words.length * 2)
-      appendBits(words, bitPos, codes(e), len)
-      bitPos += len
-      off += symbolLens(e)
-    }
-    s.words = words
-    s.bitPos = bitPos
-    off
+    val s = start(key.length)
+    kernel.emit(s, key, 0, key.length)
+    pack(s)
   }
 
   /** Encode `key` with a 0x00 terminator appended — the tree-integration
@@ -76,44 +62,41 @@ final class BuiltHope(
     * `maxBoundaryLen` is `Int.MaxValue`, the tail is the whole key.
     */
   def encodeTerminated(key: Array[Byte]): Encoded = {
-    val s = BuiltHope.scratch.get()
-    s.bitPos = 0
-    val off = emit(s, key, 0, key.length - scheme.maxBoundaryLen + 1)
+    val s = start(key.length)
+    val off = kernel.emit(s, key, 0, key.length - scheme.maxBoundaryLen + 1)
     val tail = s.tail(key.length - off + 1)
     System.arraycopy(key, off, tail, 0, tail.length - 1)
     tail(tail.length - 1) = 0
-    emit(s, tail, 0, tail.length)
-    pack(s.words, s.bitPos)
+    kernel.emit(s, tail, 0, tail.length)
+    pack(s)
   }
 
   /** Sorted-batch encoding (§4.2, Appendix B): each block encodes the shared
     * prefix once. A lookup at an offset ≤ LCP − maxBoundaryLen reads only the
     * block's common prefix, so every key of the block starts with the same
-    * codes up to the symbol end after the last such lookup. ALM schemes
+    * codes up to the symbol end after the last such lookup. That point is
+    * checkpointed as the accumulator and bit count: the words flushed before
+    * it are never written again, so each key resumes from there. ALM schemes
     * (`maxBoundaryLen` = `Int.MaxValue`) get no shared prefix, so no
     * benefit, matching the paper.
     */
   def encodeBatchSorted(keys: Array[Array[Byte]], batchSize: Int): Array[Encoded] = {
     val out = new Array[Encoded](keys.length)
-    val s = BuiltHope.scratch.get()
     var blockStart = 0
     while (blockStart < keys.length) {
       val blockEnd = math.min(keys.length, blockStart + batchSize)
       val first = keys(blockStart)
-      s.bitPos = 0
-      val safeOff = emit(s, first, 0, Bytes.lcp(first, keys(blockEnd - 1)) - scheme.maxBoundaryLen + 1)
-      val safeBits = s.bitPos
-      // bits after `safeBits` are zero here, or lie in a word no code has
-      // reached yet, which appendBits overwrites on its first write
-      val seed = java.util.Arrays.copyOf(s.words, (safeBits >>> 6) + 1)
-      emit(s, first, safeOff, first.length)
-      out(blockStart) = pack(s.words, s.bitPos)
-      var i = blockStart + 1
+      val s = start(first.length)
+      val safeOff = kernel.emit(s, first, 0, Bytes.lcp(first, keys(blockEnd - 1)) - scheme.maxBoundaryLen + 1)
+      val safeAcc = s.acc
+      val safePos = s.pos
+      var i = blockStart
       while (i < blockEnd) {
-        System.arraycopy(seed, 0, s.words, 0, seed.length)
-        s.bitPos = safeBits
-        emit(s, keys(i), safeOff, keys(i).length)
-        out(i) = pack(s.words, s.bitPos)
+        reserve(s, keys(i).length)
+        s.acc = safeAcc
+        s.pos = safePos
+        kernel.emit(s, keys(i), safeOff, keys(i).length)
+        out(i) = pack(s)
         i += 1
       }
       blockStart = blockEnd
@@ -121,27 +104,32 @@ final class BuiltHope(
     out
   }
 
-  /** Writes the low `len` bits of `v` at `bitPos`. The first bits written
-    * into a word overwrite it, so the reused buffer needs no clearing.
-    */
-  @inline private def appendBits(words: Array[Long], bitPos: Int, v: Long, len: Int): Unit = {
-    if (len == 0) return
-    val idx = bitPos >>> 6
-    val room = 64 - (bitPos & 63)
-    if (len <= room) {
-      val bits = v << (room - len)
-      if (room == 64) words(idx) = bits else words(idx) |= bits
-    } else {
-      words(idx) |= v >>> (len - room)
-      words(idx + 1) = v << (64 - (len - room))
-    }
+  /** This thread's scratch, emptied, with room for a key of `n` bytes. */
+  private def start(n: Int): EncodeScratch = {
+    val s = BuiltHope.scratch.get()
+    reserve(s, n)
+    s.acc = 0L
+    s.pos = 0
+    s
   }
 
-  private def pack(words: Array[Long], bitLen: Int): Encoded = {
-    val nBytes = (bitLen + 7) >>> 3
-    val out = new Array[Byte](nBytes)
+  /** Room in `s` for the codes of a key of `n` bytes plus a terminator. */
+  private def reserve(s: EncodeScratch, n: Int): Unit = s.reserve((n + 1).toLong * maxCodeLen)
+
+  /** Flushes the accumulator and copies the bits out, a whole big-endian
+    * word at a time, zero-padded to a byte boundary.
+    */
+  private def pack(s: EncodeScratch): Encoded = {
+    val words = s.words
+    val bitLen = s.pos
+    if ((bitLen & 63) != 0) words(bitLen >>> 6) = s.acc << (64 - (bitLen & 63))
+    val out = new Array[Byte]((bitLen + 7) >>> 3)
     var i = 0
-    while (i < nBytes) {
+    while (i + 8 <= out.length) {
+      BuiltHope.bigEndian.set(out, i, words(i >>> 3))
+      i += 8
+    }
+    while (i < out.length) {
       out(i) = (words(i >>> 3) >>> (56 - ((i & 7) << 3))).toByte
       i += 1
     }
@@ -192,17 +180,11 @@ final class BuiltHope(
 
 object BuiltHope {
 
-  /** Per-thread encoder state: the word buffer codes are packed into, its
-    * bit count, and the tail arrays of `encodeTerminated`, one per length.
-    */
-  private final class Scratch {
-    var words: Array[Long] = new Array[Long](32)
-    var bitPos: Int = 0
-    private val tails = Array.tabulate(9)(new Array[Byte](_)) // n-Grams need n ≤ 8
-    def tail(n: Int): Array[Byte] = if (n < tails.length) tails(n) else new Array[Byte](n)
-  }
+  private val scratch: ThreadLocal[EncodeScratch] = ThreadLocal.withInitial(() => new EncodeScratch)
 
-  private val scratch: ThreadLocal[Scratch] = ThreadLocal.withInitial(() => new Scratch)
+  /** Stores a `Long` into a byte array as 8 big-endian bytes. */
+  private val bigEndian: java.lang.invoke.VarHandle =
+    java.lang.invoke.MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], java.nio.ByteOrder.BIG_ENDIAN)
 }
 
 /** HOPE build phase (§4.1 Figure 5): Symbol Selector → Code Assigner →

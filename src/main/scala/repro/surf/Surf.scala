@@ -1,6 +1,5 @@
 package repro.surf
 
-import repro.core.Bytes
 import scala.collection.mutable.ArrayBuffer
 
 /** SuRF — the Succinct Range Filter [Zhang et al., SIGMOD'18] on which the
@@ -28,6 +27,7 @@ final class Surf private (
     val suffixBits: Int,
     val keyCount: Int,
     val avgLeafDepth: Double,
+    height: Int, // labels on the longest root-to-leaf path
 ) {
 
   private val n = labels.length
@@ -72,41 +72,47 @@ final class Surf private (
     * false when a stored key is inside the range.
     */
   def mayContainRange(lo: Array[Byte], hi: Array[Byte]): Boolean = {
-    val path = new ArrayBuffer[Byte]
+    val path = new Array[Byte](height)
+    val len = lowerBound(0, lo, 0, path)
     // path ≤ hi (a prefix counts as ≤): truncated stored keys compare
     // optimistically, preserving one-sided error; a path that strictly
     // extends hi means the real key is > hi
-    lowerBound(0, lo, 0, path) && Bytes.compare(path.toArray, hi) <= 0
+    len >= 0 && java.util.Arrays.compareUnsigned(path, 0, len, hi, 0, hi.length) <= 0
   }
 
-  /** Appends to `path` the labels of the smallest stored (truncated) key
-    * ≥ `lo` in the node starting at `pos`, whose labels are byte `depth` of
-    * the key; false if every key there is < `lo`. Truncation errs low,
-    * keeping the filter sound.
+  /** Writes to `path(depth ..)` the labels of the smallest stored (truncated)
+    * key ≥ `lo` in the node starting at `pos`, whose labels are byte `depth`
+    * of the key, and returns that key's length; −1 if every key there is
+    * < `lo`. Truncation errs low, keeping the filter sound.
     */
-  private def lowerBound(pos: Int, lo: Array[Byte], depth: Int, path: ArrayBuffer[Byte]): Boolean = {
-    if (depth == lo.length) return leftmost(pos, path) // whole node ≥ lo
+  private def lowerBound(pos: Int, lo: Array[Byte], depth: Int, path: Array[Byte]): Int = {
+    if (depth == lo.length) return leftmost(pos, depth, path) // whole node ≥ lo
     val end = nodeEnd(pos)
     // seek skips the terminal entry (its key is a proper prefix of lo, hence < lo)
     var i = seek(pos, end, lo(depth) & 0xff)
     if (i < end && labels(i) == lo(depth)) {
-      path += labels(i)
-      val found =
+      path(depth) = labels(i)
+      val len =
         if (hasChild.get(i)) lowerBound(childStart(i), lo, depth + 1, path)
         // truncated leaf matching lo's prefix: compare suffix bits if any
-        else suffixBits == 0 || (suffixes(leafIdx(i)) & 0xff) >= Surf.keySuffix(lo, depth + 1, suffixBits)
-      if (found) return true
-      path.remove(path.length - 1)
+        else if (suffixBits == 0 ||
+          (suffixes(leafIdx(i)) & 0xff) >= Surf.keySuffix(lo, depth + 1, suffixBits)) depth + 1
+        else -1
+      if (len >= 0) return len
       i += 1 // every key below label b is < lo: advance to the next label
     }
-    i < end && leftmost(i, path)
+    if (i < end) leftmost(i, depth, path) else -1
   }
 
-  /** Appends to `path` the labels of the smallest stored key at or below
-    * entry `i`; always true.
+  /** Writes to `path(depth ..)` the labels of the smallest stored key at or
+    * below entry `i`, whose label is byte `depth`, and returns its length.
     */
-  private def leftmost(i: Int, path: ArrayBuffer[Byte]): Boolean =
-    isTerm.get(i) || { path += labels(i); !hasChild.get(i) || leftmost(childStart(i), path) }
+  private def leftmost(i: Int, depth: Int, path: Array[Byte]): Int =
+    if (isTerm.get(i)) depth
+    else {
+      path(depth) = labels(i)
+      if (hasChild.get(i)) leftmost(childStart(i), depth + 1, path) else depth + 1
+    }
 
   /** Filter size in bytes: labels + 3 bit vectors + suffix store — the ~10
     * bits/node succinct accounting of the paper.
@@ -147,6 +153,7 @@ object Surf {
     val sufB = new ArrayBuffer[Byte]
     var depthSum = 0L
     var leafCnt = 0L
+    var height = 0
 
     final case class Task(lo: Int, hi: Int, depth: Int)
     val queue = scala.collection.mutable.Queue(Task(0, sortedKeys.length, 0))
@@ -171,6 +178,7 @@ object Surf {
         loudsB += first
         isTermB += false
         first = false
+        height = math.max(height, depth + 1)
         if (j - i == 1) {
           hasChildB += false
           sufB += keySuffix(sortedKeys(i), depth + 1, suffixBits).toByte
@@ -201,6 +209,6 @@ object Surf {
     }
     hasChild.build(); louds.build(); isTerm.build()
     new Surf(labels.toArray, hasChild, louds, isTerm, suffixes, suffixBits,
-      sortedKeys.length, if (leafCnt == 0) 0 else depthSum.toDouble / leafCnt)
+      sortedKeys.length, if (leafCnt == 0) 0 else depthSum.toDouble / leafCnt, height)
   }
 }

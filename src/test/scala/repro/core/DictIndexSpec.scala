@@ -23,7 +23,7 @@ class DictIndexSpec extends SparkSpec {
       val key = Array.fill(1 + rnd.nextInt(maxKeyLen))(rnd.nextInt(256).toByte)
       val off = rnd.nextInt(key.length)
       assert(idx.lookup(key, off) == ref.lookup(key, off),
-        s"${idx.name} disagrees on key=${Bytes.hex(key)} off=$off")
+        s"${idx.getClass.getSimpleName} disagrees on key=${Bytes.hex(key)} off=$off")
     }
   }
 
@@ -33,7 +33,7 @@ class DictIndexSpec extends SparkSpec {
     val ref = new SortedArrayIndex(boundaries)
     for (key <- keys; off <- key.indices) {
       val (got, want) = (idx.lookup(key, off), ref.lookup(key, off))
-      if (got != want) fail(s"${idx.name} gives $got, not $want, on key=${Bytes.hex(key)} off=$off")
+      if (got != want) fail(s"${idx.getClass.getSimpleName} gives $got, not $want, on key=${Bytes.hex(key)} off=$off")
     }
   }
 

@@ -43,8 +43,46 @@ class SchemePropertiesSpec extends AnyFunSuite {
     Array.fill(n)((32 + rnd.nextInt(95)).toByte)
   }
 
+  /** The sample, the empty key, random keys over every byte, and keys over
+    * {0x00, 0x61, 0xff}, which are full of 0x00 and 0xff runs.
+    */
+  private lazy val oracleKeys: Seq[Array[Byte]] = {
+    val edge = Array[Byte](0, 0x61, -1)
+    Seq(Array.emptyByteArray) ++ sample ++ Seq.fill(300)(randKey(40, nulFree = false)) ++
+      Seq.fill(300)(Array.fill(1 + rnd.nextInt(30))(edge(rnd.nextInt(3))))
+  }
+
+  /** `encode`, `encodeTerminated` and `encodeBatchSorted` of `h` give the
+    * reference encoder's bits on every key of [[oracleKeys]].
+    */
+  private def assertMatchesReference(h: BuiltHope): Unit = {
+    for (k <- oracleKeys) {
+      assert(h.encode(k) == ReferenceEncoder.encode(h, k), s"encode ${Bytes.hex(k)}")
+      assert(h.encodeTerminated(k) == ReferenceEncoder.encode(h, k :+ 0.toByte),
+        s"encodeTerminated ${Bytes.hex(k)}")
+    }
+    val sorted = oracleKeys.toArray.sortWith(Bytes.compare(_, _) < 0)
+    val want = sorted.map(ReferenceEncoder.encode(h, _))
+    for (bs <- Seq(1, 2, 8, 32)) {
+      val got = h.encodeBatchSorted(sorted, bs)
+      for (i <- sorted.indices) assert(got(i) == want(i), s"batch=$bs key=${Bytes.hex(sorted(i))}")
+    }
+  }
+
   for (s <- schemes) {
     val h = built(s.name)
+
+    test(s"${s.name}: every encoder gives the reference encoder's bits") {
+      assertMatchesReference(h)
+    }
+
+    test(s"${s.name}: 1-, 63- and 64-bit codes pack exactly across word boundaries") {
+      // random lengths make every offset within a word occur, and 64-bit
+      // codes both at a word start and straddling two words
+      val lens = Array.fill(h.entries)(Array(1, 63, 64)(rnd.nextInt(3)))
+      val codes = lens.map(l => rnd.nextLong() >>> (64 - l))
+      assertMatchesReference(new BuiltHope(h.scheme, h.intervals, h.index, codes, lens, h.stats))
+    }
 
     test(s"${s.name}: dictionary is complete — arbitrary byte strings encode") {
       for (_ <- 0 until 500) {
@@ -149,7 +187,6 @@ class SchemePropertiesSpec extends AnyFunSuite {
         def lookup(key: Array[Byte], off: Int): Int =
           if (off > 20) throw new IllegalStateException("lookup failed") else h.index.lookup(key, off)
         def memoryBytes: Long = 0
-        def name: String = "failing"
       }, h.codes, h.codeLens, h.stats)
       val long = Array.fill(64)(0xff.toByte)
       for (k <- Seq.fill(50)(randKey(20, nulFree = false))) {

@@ -13,8 +13,11 @@ import org.apache.spark.sql.functions.col
   * Key `i` of a dataset is a pure function of (seed, i), drawn in plain Scala
   * from its own counter-based random stream; a key set is the distinct keys
   * among draws `0 until n` (see [[draw]]). So a set is deterministic in
-  * (n, seed): the same keys in the same order on every core count. The
-  * DataFrame accessors hold that set in one partition, in that order.
+  * (n, seed): the same keys in the same order on every core count, although
+  * [[draw]] makes its draws on every core of the JDK common pool. Key
+  * functions must therefore be pure and thread-safe (`urlKey` keeps its MD5
+  * digest in a `ThreadLocal`). The DataFrame accessors hold that set in one
+  * partition, in that order.
   *
   *  - emails: host-reversed ("com.gmail@first.last123"), Zipf-skewed domains,
   *    avg ≈ 22 bytes — heavy shared prefixes within popular domains.
@@ -129,25 +132,55 @@ object KeySynth {
       .toString
   }
 
+  /** Most draws one call takes: the index table of [[draw]] holds two slots
+    * per draw in one `Int` array, whose length is a power of two.
+    */
+  private final val MaxDraws = 1 << 29
+
   /** The distinct keys among `key(seed, 0 until n)`, in order of first
     * occurrence: a pure function of (n, seed). Repeated draws are dropped,
     * not redrawn, so there are at most n keys, and `draw(n, …)` is a prefix
     * of `draw(m, …)` for every m ≥ n.
+    *
+    * The draws are made in parallel on the JDK common pool, so `key` must be
+    * pure and thread-safe, as the three key functions here are. Draw `i`
+    * depends on nothing but (seed, i), so the result does not depend on the
+    * pool's size. Duplicates are then dropped in one sequential pass in
+    * index order, through an open-addressing table of key positions.
+    *
+    * @throws IllegalArgumentException if n is negative or above 536,870,912,
+    *   before anything is allocated
     */
   def draw(n: Long, seed: Long, key: (Long, Long) => String): Array[String] = {
-    val seen = new java.util.HashSet[String]
-    val out = Array.newBuilder[String]
-    var i = 0L
-    while (i < n) {
-      val k = key(seed, i)
-      if (seen.add(k)) out += k
+    require(n >= 0 && n <= MaxDraws, s"n = $n draws: need 0 ≤ n ≤ $MaxDraws")
+    val keys = new Array[String](n.toInt)
+    // the hash is cached in each String here, off the sequential pass
+    java.util.Arrays.parallelSetAll[String](keys, i => { val k = key(seed, i); k.hashCode; k })
+    // first occurrences move to keys(0 until w); a slot holds position + 1, or 0 when empty
+    val slots = if (keys.length < 2) 2 else Integer.highestOneBit(2 * keys.length - 1) << 1
+    val shift = Integer.numberOfLeadingZeros(slots) + 1
+    val table = new Array[Int](slots)
+    var w = 0
+    var i = 0
+    while (i < keys.length) {
+      val k = keys(i)
+      val h = k.hashCode
+      var s = (h * 0x9E3779B9) >>> shift
+      var fresh = true
+      while (fresh && table(s) != 0) {
+        val seen = keys(table(s) - 1)
+        if (seen.hashCode == h && seen.equals(k)) fresh = false
+        else s = (s + 1) & (slots - 1)
+      }
+      if (fresh) { keys(w) = k; w += 1; table(s) = w }
       i += 1
     }
-    out.result()
+    if (w == keys.length) keys else java.util.Arrays.copyOf(keys, w)
   }
 
   /** `draw(n, seed, key)` as a one-partition DataFrame with column "k", made
     * by a single task, so that Spark and the driver see one set in one order.
+    * The draw inside that task still runs on every core.
     */
   private def frame(spark: SparkSession, n: Long, seed: Long, key: (Long, Long) => String): DataFrame =
     spark.range(0, 1, 1, 1).flatMap(_ => draw(n, seed, key).iterator)(Encoders.STRING).toDF("k")

@@ -37,6 +37,61 @@ class KeySynthSpec extends SparkSpec {
     }
   }
 
+  /** Reference for [[KeySynth.draw]]: one thread, first occurrences kept through a HashSet. */
+  private def drawReference(n: Long, seed: Long, key: (Long, Long) => String): Array[String] = {
+    val seen = new java.util.HashSet[String]
+    val out = Array.newBuilder[String]
+    var i = 0L
+    while (i < n) {
+      val k = key(seed, i)
+      if (seen.add(k)) out += k
+      i += 1
+    }
+    out.result()
+  }
+
+  private def assertDrawMatchesReference(n: Long, seed: Long, key: (Long, Long) => String): Unit = {
+    val got = KeySynth.draw(n, seed, key)
+    val want = drawReference(n, seed, key)
+    val firstDiff = got.indices.find(i => i >= want.length || got(i) != want(i))
+    assert(got.length == want.length && firstDiff.isEmpty,
+      s"n=$n seed=$seed: ${got.length} keys against ${want.length}, first difference at $firstDiff")
+  }
+
+  test("draw equals the sequential first-occurrence loop on every dataset at two seeds") {
+    for (key <- Seq[(Long, Long) => String](KeySynth.emailKey, KeySynth.wikiKey, KeySynth.urlKey);
+         seed <- Seq(3L, 19L))
+      assertDrawMatchesReference(30000, seed, key)
+  }
+
+  test("draw equals the sequential loop under heavy duplicates, and at n = 0 and 1") {
+    val mod97 = (_: Long, i: Long) => (i % 97).toString
+    assert(KeySynth.draw(10000, 0, mod97).length == 97)
+    assertDrawMatchesReference(10000, 0, mod97)
+    for (n <- Seq(0L, 1L); key <- Seq[(Long, Long) => String](KeySynth.wikiKey, mod97))
+      assertDrawMatchesReference(n, 5, key)
+  }
+
+  test("draw tells keys apart by equals when all their hash codes are equal") {
+    // "Aa" and "BB" have one String.hashCode, so every same-length string of them does too
+    val blocks = 10
+    val collide = (seed: Long, i: Long) => {
+      val pick = (i * 37 + seed) % (1 << blocks)
+      (0 until blocks).map(b => if ((pick >> b & 1) == 0) "Aa" else "BB").mkString
+    }
+    val keys = KeySynth.draw(3000, 1, collide)
+    assert(keys.map(_.hashCode).distinct.length == 1)
+    assert(keys.length == 1 << blocks)
+    assertDrawMatchesReference(3000, 1, collide)
+  }
+
+  test("draw rejects a negative or oversized n before allocating") {
+    for (n <- Seq(-1L, Int.MaxValue.toLong + 1)) {
+      val e = intercept[IllegalArgumentException](KeySynth.draw(n, 1, KeySynth.emailKey))
+      assert(e.getMessage.contains(s"n = $n"), e.getMessage)
+    }
+  }
+
   test("pinned SHA-256 of the first 1,000 keys of each dataset at its default seed") {
     // one digest for every core count: run under SPARK_MASTER=local[1], local[4], local[16]
     val pinned = Map(

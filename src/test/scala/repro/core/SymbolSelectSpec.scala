@@ -100,4 +100,49 @@ class SymbolSelectSpec extends AnyFunSuite {
     assert(iv.size >= 256)
     assert(iv.symbols.forall(_.nonEmpty))
   }
+
+  test("pinned SHA-256 of the selected boundaries for every variable-interval scheme") {
+    // bench-sized draws at the datasets' default seeds, sampled as BenchBase.sample does
+    def sample(n: Long, seed: Long, key: (Long, Long) => String): Array[Array[Byte]] = {
+      val ks = repro.keys.KeySynth.draw(n, seed, key).map(Bytes.utf8)
+      ks.take(math.max(1000, ks.length / 100))
+    }
+    val samples = Map(
+      "email" -> sample(60000, 7, repro.keys.KeySynth.emailKey),
+      "url"   -> sample(30000, 13, repro.keys.KeySynth.urlKey),
+    )
+    val pinned = Seq(
+      (Scheme.NGrams(3, 65536), "email",
+       "d5d0e02afe4b76c326ce7cccc2f6eed3c8463f4097cc1384460c42f5f0e7feef"),
+      (Scheme.NGrams(3, 65536), "url",
+       "9e7549292584a31bc6da74e064a712bcd4be5ba4c67a10339acad3eb11d347a6"),
+      (Scheme.NGrams(4, 4096), "email",
+       "6d1744cc3fc2d39158dd0f20b1a5601465c36adf0490231318d2e07726d07cfa"),
+      (Scheme.NGrams(4, 4096), "url",
+       "3f723728dc7aee118cc155533405e02381502a98b99c95d49db380b4c1916c1b"),
+      (Scheme.Alm(4096, 12), "email",
+       "db4ed637374eb85a34ee65bbf3933cbb8d55fb8b3c715799ed50265bfde8e174"),
+      (Scheme.Alm(4096, 12), "url",
+       "6ed3dcc7243d3bb4849ea1b8c03674a63adab2b2175f15cdbcabde0a6b3b67fd"),
+      (Scheme.AlmImproved(4096), "email",
+       "234c15e981abe2960a2eb47ba6c3613307f710bf123364ee806658088ea5ed0a"),
+      (Scheme.AlmImproved(4096), "url",
+       "c47ac3cbaec22c1eed14dd7d829720c1f05cbe11f3af4f0bb128e29c701938b3"),
+      (Scheme.AlmImproved(65536), "email",
+       "1cb6b2494b1d442126e73c1004db616a40bd73b0c58225020e314dd30d258c3c"),
+      (Scheme.AlmImproved(65536), "url",
+       "416303f7b60afaaafb2e1c16f0a3178caedd8bdea78d9dfb0d139c1290457f4d"),
+    )
+    // each boundary enters the digest behind its 4-byte big-endian length
+    for ((scheme, ds, digest) <- pinned) {
+      val sha = java.security.MessageDigest.getInstance("SHA-256")
+      val len = java.nio.ByteBuffer.allocate(4)
+      SymbolSelect.extraBoundaries(scheme, samples(ds)).foreach { b =>
+        sha.update(len.clear().putInt(b.length).array())
+        sha.update(b)
+      }
+      val got = Bytes.hex(sha.digest())
+      assert(got == digest, s"${scheme.name} on $ds")
+    }
+  }
 }

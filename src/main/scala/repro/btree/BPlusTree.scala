@@ -19,21 +19,10 @@ import scala.collection.mutable.ArrayBuffer
   * Supports insert, point lookup, and ordered scans from a start key.
   */
 class BPlusTree(val fanout: Int = 16) {
+  import BPlusTree.{InnerNode, LeafNode}
   require(fanout >= 4)
 
-  protected final class LeafNode {
-    val keys = new Array[Array[Byte]](fanout + 1)
-    val values = new Array[Long](fanout + 1)
-    var n = 0
-    var next: LeafNode = _
-  }
-  protected final class InnerNode {
-    val keys = new Array[Array[Byte]](fanout + 1) // separator i splits child i / i+1
-    val children = new Array[AnyRef](fanout + 2)
-    var n = 0 // separators; the node has n + 1 children
-  }
-
-  protected var root: AnyRef = new LeafNode
+  protected var root: AnyRef = new LeafNode(fanout)
   private var count = 0
   /** Separator of the last split that [[insertRec]] reported. */
   private var splitKey: Array[Byte] = _
@@ -47,7 +36,7 @@ class BPlusTree(val fanout: Int = 16) {
   def insert(key: Array[Byte], value: Long): Unit = {
     val right = insertRec(root, key, value)
     if (right != null) {
-      val r = new InnerNode
+      val r = new InnerNode(fanout)
       r.keys(0) = splitKey
       r.children(0) = root
       r.children(1) = right
@@ -72,7 +61,7 @@ class BPlusTree(val fanout: Int = 16) {
           if (l.n <= fanout) null
           else {
             val mid = l.n / 2
-            val r = new LeafNode
+            val r = new LeafNode(fanout)
             r.n = l.n - mid
             System.arraycopy(l.keys, mid, r.keys, 0, r.n)
             System.arraycopy(l.values, mid, r.values, 0, r.n)
@@ -94,7 +83,7 @@ class BPlusTree(val fanout: Int = 16) {
           if (in.n <= fanout) null
           else {
             val mid = in.n / 2
-            val r = new InnerNode
+            val r = new InnerNode(fanout)
             r.n = in.n - mid - 1
             System.arraycopy(in.keys, mid + 1, r.keys, 0, r.n)
             System.arraycopy(in.children, mid + 1, r.children, 0, r.n + 1)
@@ -188,6 +177,23 @@ class BPlusTree(val fanout: Int = 16) {
   }
 }
 
+/** The node types of [[BPlusTree]], kept outside the class so that matching
+  * on a node needs no check of the tree instance it came from.
+  */
+object BPlusTree {
+  private[btree] final class LeafNode(fanout: Int) {
+    val keys = new Array[Array[Byte]](fanout + 1)
+    val values = new Array[Long](fanout + 1)
+    var n = 0
+    var next: LeafNode = _
+  }
+  private[btree] final class InnerNode(fanout: Int) {
+    val keys = new Array[Array[Byte]](fanout + 1) // separator i splits child i / i+1
+    val children = new Array[AnyRef](fanout + 2)
+    var n = 0 // separators; the node has n + 1 children
+  }
+}
+
 /** Prefix B+tree [Bayer & Unterauer 1977] (§5): suffix truncation picks the
   * shortest separator that still splits the siblings (real — affects inner
   * node contents and comparisons), and prefix truncation stores each leaf's
@@ -195,6 +201,7 @@ class BPlusTree(val fanout: Int = 16) {
   * are unchanged).
   */
 final class PrefixBPlusTree(fanout: Int = 16) extends BPlusTree(fanout) {
+  import BPlusTree.LeafNode
 
   /** Shortest prefix of `rightFirst` strictly greater than `leftLast`. */
   override protected def separator(leftLast: Array[Byte], rightFirst: Array[Byte]): Array[Byte] = {

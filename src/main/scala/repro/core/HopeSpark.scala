@@ -36,13 +36,15 @@ final case class HopeEncodeExpression(child: Expression, hope: BuiltHope)
 object HopeSpark {
 
   /** Sample keys from a DataFrame column — HOPE's build-phase input (§5:
-    * "samples the initial bulk-loaded keys"). Fraction as in §6 (1%).
+    * "samples the initial bulk-loaded keys"). Fraction as in §6 (1%). Null
+    * keys are dropped after the sample is collected, so the Spark plan is
+    * that of the plain sample.
     */
   def sampleKeys(df: DataFrame, col: String, fraction: Double, seed: Long = 1): Array[Array[Byte]] =
     df.select(col).sample(withReplacement = false, fraction, seed)
       .as[String](Encoders.STRING)
       .collect()
-      .map(Bytes.utf8)
+      .collect { case k if k != null => Bytes.utf8(k) }
 
   /** Build a HOPE dictionary from a key column: Spark draws the sample, the
     * (small) dictionary is constructed on the driver.

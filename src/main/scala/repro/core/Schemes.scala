@@ -23,10 +23,12 @@ object Scheme {
     val maxBoundaryLen: Int = n
   }
   final case class Alm(dictSizeLimit: Int, maxSymbolLen: Int = 16) extends Scheme {
+    require(maxSymbolLen >= 1)
     val name = s"ALM(${dictSizeLimit})"
     val maxBoundaryLen: Int = Int.MaxValue
   }
   final case class AlmImproved(dictSizeLimit: Int, maxSymbolLen: Int = 32) extends Scheme {
+    require(maxSymbolLen >= 1)
     val name = s"ALM-Improved(${dictSizeLimit})"
     val maxBoundaryLen: Int = Int.MaxValue
   }
@@ -44,8 +46,13 @@ object Scheme {
   */
 object SymbolSelect {
 
-  /** Scheme-specific extra boundaries (beyond the 256 single bytes). */
-  def extraBoundaries(scheme: Scheme, samples: Array[Array[Byte]]): Seq[Array[Byte]] =
+  /** Scheme-specific extra boundaries (beyond the 256 single bytes). The
+    * variable-interval schemes differ only in the windows they count and in
+    * ALM's blend; each selected symbol brings its increment as a boundary.
+    */
+  def extraBoundaries(scheme: Scheme, samples: Array[Array[Byte]]): Seq[Array[Byte]] = {
+    def withIncrements(limit: Int, counts: Iterable[(String, Long)]): Seq[Array[Byte]] =
+      topSymbols(counts, math.max(1, (limit - 256) / 2)).flatMap(s => s +: Axis.inc(s).toSeq)
     scheme match {
       case Scheme.SingleChar => Nil
       case Scheme.DoubleChar =>
@@ -55,43 +62,18 @@ object SymbolSelect {
         while (i < 65536) { out(i) = Array(((i >> 8) & 0xff).toByte, (i & 0xff).toByte); i += 1 }
         scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
       case Scheme.NGrams(n, limit) =>
-        val grams = topNGrams(samples, n, math.max(1, (limit - 256) / 2))
-        grams.flatMap(g => g +: Axis.inc(g).toSeq)
+        withIncrements(limit, windowCounts(samples, n, nGramLens(n)))
       case Scheme.Alm(limit, maxLen) =>
-        val counts = substringCounts(samples, maxLen, suffixOnly = false)
-        val sel = almSelect(blend(counts), math.max(1, (limit - 256) / 2))
-        sel.flatMap(s => s +: Axis.inc(s).toSeq)
+        withIncrements(limit, blend(windowCounts(samples, maxLen, almLens)))
       case Scheme.AlmImproved(limit, maxLen) =>
         // No blending: ALM needs it because its interval divider cannot take
         // nested symbols, but the uniform axis builder handles prefix-nested
         // boundaries natively, so keeping frequent prefix symbols (instead of
         // zeroing them onto a rare long extension) strictly helps CPR — this
         // is part of why ALM-Improved dominates ALM (DESIGN.md §3).
-        val counts = substringCounts(samples, maxLen, suffixOnly = true)
-        val sel = almSelect(counts.toSeq, math.max(1, (limit - 256) / 2))
-        sel.flatMap(s => s +: Axis.inc(s).toSeq)
+        withIncrements(limit, windowCounts(samples, maxLen, ladderLens))
     }
-
-  /** Frequency of every n-byte window in the samples. */
-  def ngramCounts(samples: Array[Array[Byte]], n: Int): mutable.HashMap[String, Long] = {
-    val m = mutable.HashMap.empty[String, Long]
-    samples.foreach { k =>
-      var i = 0
-      while (i + n <= k.length) {
-        val s = new String(k, i, n, java.nio.charset.StandardCharsets.ISO_8859_1)
-        m.update(s, m.getOrElse(s, 0L) + 1L)
-        i += 1
-      }
-    }
-    m
   }
-
-  /** The `k` most frequent n-grams (ties by lexicographic order). */
-  def topNGrams(samples: Array[Array[Byte]], n: Int, k: Int): Seq[Array[Byte]] =
-    ngramCounts(samples, n).toSeq
-      .sortBy { case (g, c) => (-c, g) }
-      .take(k)
-      .map { case (g, _) => Bytes.of(g) }
 
   /** Truncation lengths for ALM-Improved's suffix statistics: a geometric
     * ladder instead of every length, preserving the paper's build-time
@@ -99,42 +81,34 @@ object SymbolSelect {
     */
   private val SuffixLens = Array(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32)
 
-  /** ALM statistics: counts of all substrings up to `maxLen` (the original
-    * scheme) or only of sample-string suffixes truncated at the geometric
-    * ladder of lengths (the ALM-Improved simplification that cuts build
-    * time, §3.3; ladder deviation documented in DESIGN.md).
+  /** The window lengths each scheme counts where `r` bytes are left (the
+    * `lensAt` of [[windowCounts]]): n-Grams `{n}` when `r == n`, ALM every
+    * length `1..r`, ALM-Improved the suffix ladder below `r` plus `r` itself.
     */
-  def substringCounts(samples: Array[Array[Byte]], maxLen: Int,
-                      suffixOnly: Boolean): mutable.HashMap[String, Long] = {
+  def nGramLens(n: Int): Int => Array[Int] = r => if (r == n) Array(n) else Array.emptyIntArray
+  val almLens: Int => Array[Int] = r => Array.range(1, r + 1)
+  val ladderLens: Int => Array[Int] = r => SuffixLens.filter(_ < r) :+ r
+
+  /** Window statistics, the one counter of every variable-interval scheme:
+    * at each offset `i` of each sample, with `r = min(maxLen, k.length − i)`
+    * bytes left, count the windows at `i` whose lengths are in `lensAt(r)`
+    * (§3.3; ladder deviation documented in DESIGN.md). `lensAt` is tabulated
+    * once per call. Windows are keyed as ISO-8859-1 strings, whose order is
+    * unsigned byte order.
+    */
+  def windowCounts(samples: Array[Array[Byte]], maxLen: Int,
+                   lensAt: Int => Array[Int]): mutable.HashMap[String, Long] = {
+    val lens = Array.tabulate(maxLen)(r => lensAt(r + 1))
     val m = mutable.HashMap.empty[String, Long]
     samples.foreach { k =>
       var i = 0
       while (i < k.length) {
-        if (suffixOnly) {
-          val rem = math.min(maxLen, k.length - i)
-          var j = 0
-          var countedFull = false
-          while (j < SuffixLens.length) {
-            val len = SuffixLens(j)
-            if (len <= rem) {
-              val s = new String(k, i, len, java.nio.charset.StandardCharsets.ISO_8859_1)
-              m.update(s, m.getOrElse(s, 0L) + 1L)
-              if (len == rem) countedFull = true
-            }
-            j += 1
-          }
-          if (!countedFull) {
-            val s = new String(k, i, rem, java.nio.charset.StandardCharsets.ISO_8859_1)
-            m.update(s, m.getOrElse(s, 0L) + 1L)
-          }
-        } else {
-          var len = 1
-          val max = math.min(maxLen, k.length - i)
-          while (len <= max) {
-            val s = new String(k, i, len, java.nio.charset.StandardCharsets.ISO_8859_1)
-            m.update(s, m.getOrElse(s, 0L) + 1L)
-            len += 1
-          }
+        val at = lens(math.min(maxLen, k.length - i) - 1)
+        var j = 0
+        while (j < at.length) {
+          val s = new String(k, i, at(j), java.nio.charset.StandardCharsets.ISO_8859_1)
+          m.update(s, m.getOrElse(s, 0L) + 1L)
+          j += 1
         }
         i += 1
       }
@@ -174,11 +148,12 @@ object SymbolSelect {
     arr.iterator.zip(cnt.iterator).filter(_._2 > 0).toSeq
   }
 
-  /** ALM selection: keep the `k` symbols with the largest len(s)·freq(s)
-    * product (the paper binary-searches the threshold W to the same effect).
+  /** The `k` symbols with the largest len(s)·freq(s) product, ties in
+    * string order (the paper binary-searches ALM's threshold W to the same
+    * effect). For n-grams the length is constant, so this is top-k by count.
     */
-  def almSelect(blended: Seq[(String, Long)], k: Int): Seq[Array[Byte]] =
-    blended
+  def topSymbols(counts: Iterable[(String, Long)], k: Int): Seq[Array[Byte]] =
+    counts.toSeq
       .sortBy { case (s, c) => (-(s.length.toLong * c), s) }
       .take(k)
       .map { case (s, _) => Bytes.of(s) }

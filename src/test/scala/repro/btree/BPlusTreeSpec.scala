@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Bytes
 
 class BPlusTreeSpec extends AnyFunSuite {
+  import BPlusTreeSpec.Probe
 
   private def refMap = new java.util.TreeMap[Array[Byte], Long](
     (a: Array[Byte], b: Array[Byte]) => Bytes.compare(a, b))
@@ -106,32 +107,6 @@ class BPlusTreeSpec extends AnyFunSuite {
     ref.entrySet().asScala.foreach(e => assert(t.get(e.getKey) == e.getValue))
   }
 
-  /** A plain B+tree that exposes its node structure: the leaves in chain
-    * order, and `memoryBytes` summed again over every node from the root.
-    */
-  private final class Probe(fanout: Int) extends BPlusTree(fanout) {
-    def leafKeys: Seq[Seq[Array[Byte]]] = {
-      var node = root
-      while (!node.isInstanceOf[LeafNode]) node = node.asInstanceOf[InnerNode].children(0)
-      var l = node.asInstanceOf[LeafNode]
-      val out = Seq.newBuilder[Seq[Array[Byte]]]
-      while (l != null) { out += l.keys.take(l.n).toSeq; l = l.next }
-      out.result()
-    }
-
-    def referenceBytes: Long = {
-      def keyBytes(keys: Seq[Array[Byte]]) = keys.map(k => 8L + 16L + k.length).sum
-      def walk(node: AnyRef): Long = node match {
-        case l: LeafNode => 32L + fanout * 16L + keyBytes(l.keys.take(l.n).toSeq)
-        case in: InnerNode =>
-          assert(in.n >= 1 && in.n <= fanout)
-          32L + fanout * 16L + keyBytes(in.keys.take(in.n).toSeq) +
-            in.children.take(in.n + 1).map(walk).sum
-      }
-      walk(root)
-    }
-  }
-
   for (fanout <- Seq(4, 5, 16); prefix <- Seq(false, true)) {
     val label = if (prefix) "PrefixB+tree" else "B+tree"
     test(s"$label fanout $fanout: mixed inserts, overwrites, absent gets and scans vs TreeMap") {
@@ -185,6 +160,35 @@ class BPlusTreeSpec extends AnyFunSuite {
           assert(leaves.flatten.map(Bytes.hex) == ref.keySet().asScala.toSeq.map(Bytes.hex))
         case _ =>
       }
+    }
+  }
+}
+
+object BPlusTreeSpec {
+  /** A plain B+tree that exposes its node structure: the leaves in chain
+    * order, and `memoryBytes` summed again over every node from the root.
+    */
+  final class Probe(fanout: Int) extends BPlusTree(fanout) {
+    import BPlusTree.{InnerNode, LeafNode}
+    def leafKeys: Seq[Seq[Array[Byte]]] = {
+      var node = root
+      while (!node.isInstanceOf[LeafNode]) node = node.asInstanceOf[InnerNode].children(0)
+      var l = node.asInstanceOf[LeafNode]
+      val out = Seq.newBuilder[Seq[Array[Byte]]]
+      while (l != null) { out += l.keys.take(l.n).toSeq; l = l.next }
+      out.result()
+    }
+
+    def referenceBytes: Long = {
+      def keyBytes(keys: Seq[Array[Byte]]) = keys.map(k => 8L + 16L + k.length).sum
+      def walk(node: AnyRef): Long = node match {
+        case l: LeafNode => 32L + fanout * 16L + keyBytes(l.keys.take(l.n).toSeq)
+        case in: InnerNode =>
+          assert(in.n >= 1 && in.n <= fanout)
+          32L + fanout * 16L + keyBytes(in.keys.take(in.n).toSeq) +
+            in.children.take(in.n + 1).map(walk).sum
+      }
+      walk(root)
     }
   }
 }

@@ -43,6 +43,21 @@ class HopeSparkSpec extends SparkSpec {
     }
   }
 
+  test("a key column with nulls: the build skips them and hope_encode maps them to null") {
+    import spark.implicits._
+    val raw = Seq[String]("com.gmail@ann", null, "com.yahoo@bob", null, "org.acm@cy")
+    val df = raw.toDF("k")
+    assert(HopeSpark.sampleKeys(df, "k", 1.0).map(Bytes.str).toSeq == raw.filter(_ != null))
+    val h = HopeSpark.build(df, "k", Scheme.NGrams(3, 512), fraction = 1.0)
+    val rows = HopeSpark.encodeColumn(df, "k", h).collect()
+    assert(rows.length == raw.length && rows.count(_.isNullAt(0)) == 2)
+    rows.foreach { r =>
+      if (r.isNullAt(0)) assert(r.isNullAt(1))
+      else assert(java.util.Arrays.equals(r.getAs[Array[Byte]](1),
+        h.encodeTerminated(Bytes.utf8(r.getString(0))).bytes), r.getString(0))
+    }
+  }
+
   test("encodeColumn leaves the session's function registry unchanged") {
     val registry = spark.sessionState.functionRegistry
     val before = registry.listFunction().size

@@ -5,39 +5,47 @@ import org.scalatest.funsuite.AnyFunSuite
 class SymbolSelectSpec extends AnyFunSuite {
   private def keys(ss: String*): Array[Array[Byte]] = ss.map(Bytes.of).toArray
 
+  private def ngrams(ks: Array[Array[Byte]], n: Int) =
+    SymbolSelect.windowCounts(ks, n, SymbolSelect.nGramLens(n))
+
   test("ngramCounts counts overlapping windows") {
-    val c = SymbolSelect.ngramCounts(keys("banana"), 2)
+    val c = ngrams(keys("banana"), 2)
     assert(c("an") == 2 && c("na") == 2 && c("ba") == 1)
   }
 
   test("ngramCounts skips keys shorter than n") {
-    val c = SymbolSelect.ngramCounts(keys("ab", "a"), 3)
+    val c = ngrams(keys("ab", "a"), 3)
     assert(c.isEmpty)
   }
 
   test("topNGrams picks by frequency, ties lexicographic") {
-    val top = SymbolSelect.topNGrams(keys("aaab", "aaac"), 2, 2).map(Bytes.str)
+    val top = SymbolSelect.topSymbols(ngrams(keys("aaab", "aaac"), 2), 2).map(Bytes.str)
     assert(top.head == "aa") // freq 4
     assert(top.contains("aa"))
+    // equal counts (ac, ca, ab, bb: 1 each) rank in string order
+    assert(SymbolSelect.topSymbols(ngrams(keys("acab", "bb"), 2), 3).map(Bytes.str) ==
+      Seq("ab", "ac", "bb"))
   }
 
   test("substringCounts all-lengths vs suffix-ladder") {
-    val all = SymbolSelect.substringCounts(keys("abc"), 8, suffixOnly = false)
+    val all = SymbolSelect.windowCounts(keys("abc"), 8, SymbolSelect.almLens)
     assert(all.keySet == Set("a", "b", "c", "ab", "bc", "abc"))
     // the geometric ladder skips lengths 9-11, all-lengths does not
     val key12 = keys("abcdefghijkl")
-    val longAll = SymbolSelect.substringCounts(key12, 12, suffixOnly = false)
-    val longSuf = SymbolSelect.substringCounts(key12, 12, suffixOnly = true)
+    val longAll = SymbolSelect.windowCounts(key12, 12, SymbolSelect.almLens)
+    val longSuf = SymbolSelect.windowCounts(key12, 12, SymbolSelect.ladderLens)
     assert(longAll.contains("abcdefghi"))
     assert(!longSuf.contains("abcdefghi"))
     assert(longSuf.contains("abcdefghijkl")) // full suffixes always counted
+    // a remainder on the ladder is counted once, not once more as the full suffix
+    assert(SymbolSelect.windowCounts(keys("abcd"), 32, SymbolSelect.ladderLens)("abcd") == 1)
     assert(longSuf.size < longAll.size)
   }
 
   test("suffix-only statistics are much smaller (the ALM-Improved speedup)") {
     val ks = Array.fill(200)(Bytes.of(scala.util.Random.alphanumeric.take(20).mkString))
-    val all = SymbolSelect.substringCounts(ks, 16, suffixOnly = false)
-    val suf = SymbolSelect.substringCounts(ks, 16, suffixOnly = true)
+    val all = SymbolSelect.windowCounts(ks, 16, SymbolSelect.almLens)
+    val suf = SymbolSelect.windowCounts(ks, 16, SymbolSelect.ladderLens)
     assert(suf.size < all.size)
   }
 
@@ -75,7 +83,7 @@ class SymbolSelectSpec extends AnyFunSuite {
   }
 
   test("almSelect ranks by len × freq") {
-    val sel = SymbolSelect.almSelect(Seq("aa" -> 10L, "bbbb" -> 6L, "c" -> 15L), 2)
+    val sel = SymbolSelect.topSymbols(Seq("aa" -> 10L, "bbbb" -> 6L, "c" -> 15L), 2)
       .map(Bytes.str)
     assert(sel == Seq("bbbb", "aa")) // 24 > 20 > 15
   }
@@ -99,6 +107,9 @@ class SymbolSelectSpec extends AnyFunSuite {
     val iv = Axis.buildIntervals(SymbolSelect.extraBoundaries(Scheme.AlmImproved(512), ks))
     assert(iv.size >= 256)
     assert(iv.symbols.forall(_.nonEmpty))
+    // a window needs at least one byte
+    intercept[IllegalArgumentException](Scheme.Alm(512, 0))
+    intercept[IllegalArgumentException](Scheme.AlmImproved(512, 0))
   }
 
   test("pinned SHA-256 of the selected boundaries for every variable-interval scheme") {

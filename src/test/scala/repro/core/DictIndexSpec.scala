@@ -127,6 +127,55 @@ class DictIndexSpec extends SparkSpec {
       assert(BitmapTrie(b, 4).nodeCount == prefixCount(b))
   }
 
+  test("pinned SHA-256 of the encoded keys and the trie lookups for every n-Grams dictionary") {
+    // bench-sized draws at the datasets' default seeds, sampled as BenchBase.sample does
+    def draw(n: Long, seed: Long, key: (Long, Long) => String): Array[Array[Byte]] =
+      KeySynth.draw(n, seed, key).map(Bytes.utf8)
+    val keys = Map(
+      "email" -> draw(60000, 7, KeySynth.emailKey),
+      "url"   -> draw(30000, 13, KeySynth.urlKey),
+    )
+    // (encodeTerminated digest, lookup digest)
+    val pinned = Seq(
+      (Scheme.NGrams(3, 65536), "email",
+       "5b6ed202e5ea3339f4d0c58f46fc8c2a511b0a126a2acb61e27df36450e19f8d",
+       "f5073c8b25333e0b9622f19ee5b7126591071571adeb59bffbb94b079062211e"),
+      (Scheme.NGrams(3, 65536), "url",
+       "61caaa44b6add98ee327cd0ba24bdcf54913ce048790d2f5ebc690ade1926e58",
+       "d117ebf4be9f51401d8e68a7d14a3ea373322cb917a05f586214b7fed3079aa9"),
+      (Scheme.NGrams(3, 4096), "email",
+       "4eece36d37d6d0d91191191ec2cb908e2694c74e951a02337ad644404137443f",
+       "eacd8195bc2b17ad711e1da8c573136f1447d019a25f4e57db44f89565b804a3"),
+      (Scheme.NGrams(3, 4096), "url",
+       "fd2047f6179b77c7ef8782b76e0fec803afa2271b934607ef5eb3db07a779dac",
+       "f8529791d37a939b3a653b7a9a2a353c8ee4251ebb4cf5384d368cd970348755"),
+      (Scheme.NGrams(4, 65536), "email",
+       "8b64e6249d2978b5de6ca4e4feba313b48656a90ee36d4b7c23407cd2bb8751b",
+       "f6b526d9a4e941bf29ae2027188d60656cf45ef453780c632556b82082b10405"),
+      (Scheme.NGrams(4, 65536), "url",
+       "ee52334af60ac706b380e8cff72a66f90073ba8dca5139d70a8679d32a92944b",
+       "5423bad486d4f5b6b06388776dd818af42395e6a6e97ba3663ab53eba761d8d1"),
+    )
+    val int = java.nio.ByteBuffer.allocate(4)
+    val wrong = for ((scheme, ds, encDigest, lookupDigest) <- pinned) yield {
+      val ks = keys(ds)
+      val hope = Hope.build(ks.take(math.max(1000, ks.length / 100)), scheme)
+      val trie = hope.index.asInstanceOf[BitmapTrie]
+      // each encoded key enters behind its 4-byte bit length; each lookup as 4 bytes
+      val enc = java.security.MessageDigest.getInstance("SHA-256")
+      val look = java.security.MessageDigest.getInstance("SHA-256")
+      for (k <- ks) {
+        val e = hope.encodeTerminated(k)
+        enc.update(int.clear().putInt(e.bitLen).array())
+        enc.update(e.bytes)
+        for (off <- k.indices) look.update(int.clear().putInt(trie.lookup(k, off)).array())
+      }
+      val got = (Bytes.hex(enc.digest()), Bytes.hex(look.digest()))
+      Option.when(got != ((encDigest, lookupDigest)))(s"${scheme.name} on $ds: $got")
+    }
+    assert(wrong.flatten.isEmpty, wrong.flatten.mkString("\n"))
+  }
+
   test("ArtDictIndex: a key below every boundary fails loudly, naming key and offset") {
     val idx = ArtDictIndex(Array(Bytes.of("m"), Bytes.of("n")))
     val e = intercept[IllegalStateException](idx.lookup(Bytes.of("xa"), 1))

@@ -73,6 +73,7 @@ class DictIndexSpec extends SparkSpec {
   test("BitmapTrie handles the minimal 256-single-byte set") {
     val b = Axis.buildIntervals(Nil).boundaries
     checkAgainstReference(b, BitmapTrie(b, 3), 2000, 6)
+    checkEveryOffset(b, BitmapTrie(b, 3), (0 until 256).map(c => bytes(c, 0x00, 0xff)))
   }
 
   test("BitmapTrie terminal + descendants: prefix boundaries coexist") {
@@ -97,29 +98,34 @@ class DictIndexSpec extends SparkSpec {
       bytes(0x70, 0x71, 0x72),                                   // p → q → r, one child each
     ) ++ (0 until 256).map(c => bytes(0x6d, c))                  // m: all 256 labels
     val b = Axis.buildIntervals(extras).boundaries
-    val trie = BitmapTrie(b, 3)
     // every boundary, each of its prefixes (keys that end mid-path) and each
     // of its extensions by a low, middle or high byte, plus random keys
     val probes = b.toSeq.flatMap { x =>
       (1 to x.length).map(x.take) ++ Seq(0x00, 0x7f, 0xff).map(c => x :+ c.toByte)
     } ++ Seq.fill(3000)(Array.fill(1 + rnd.nextInt(5))(rnd.nextInt(256).toByte))
-    checkEveryOffset(b, trie, probes)
-    assert(trie.nodeCount == prefixCount(b))
+    // at depth 3 the nodes at depth 2 are last-level nodes; at 4 every node is an upper one
+    for (maxDepth <- Seq(3, 4)) {
+      val trie = BitmapTrie(b, maxDepth)
+      checkEveryOffset(b, trie, probes)
+      assert(trie.nodeCount == prefixCount(b))
+    }
   }
 
   test("BitmapTrie.memoryBytes is the size of the arrays it holds") {
-    val trie = BitmapTrie(gramBoundaries(3, urlKeys), 3)
-    val arrays = classOf[BitmapTrie].getDeclaredFields.toSeq.flatMap { f =>
-      f.setAccessible(true)
-      f.get(trie) match {
-        case a: Array[Long] => Some(8L * a.length)
-        case a: Array[Int]  => Some(4L * a.length)
-        case a: Array[Byte] => Some(1L * a.length)
-        case _              => None
+    for ((n, keys) <- Seq(3 -> urlKeys, 4 -> emailKeys)) {
+      val trie = BitmapTrie(gramBoundaries(n, keys), n)
+      val arrays = classOf[BitmapTrie].getDeclaredFields.toSeq.flatMap { f =>
+        f.setAccessible(true)
+        f.get(trie) match {
+          case a: Array[Long] => Some(8L * a.length)
+          case a: Array[Int]  => Some(4L * a.length)
+          case a: Array[Byte] => Some(1L * a.length)
+          case _              => None
+        }
       }
+      assert(arrays.size >= 2)
+      assert(trie.memoryBytes == arrays.sum, s"$n-Grams")
     }
-    assert(arrays.size >= 2)
-    assert(trie.memoryBytes == arrays.sum)
   }
 
   test("BitmapTrie.nodeCount counts one node per distinct boundary prefix") {

@@ -16,7 +16,7 @@ class T4SurfFprBench extends BenchSuite {
   private def fpr(scheme: Option[Scheme], suffixBits: Int): Double = {
     val hope = scheme.map(BenchBase.hope("email", _))
     val enc = Harness.keyCodec(hope)
-    val surf = Surf(Harness.dedupSorted(keys.map(enc).sortWith(Bytes.compare(_, _) < 0)), suffixBits)
+    val surf = Surf(Harness.encodeSorted(keys, enc), suffixBits)
     val present = keys.map(Bytes.hex).toSet
     val realNegs = negs.filterNot(n => present(Bytes.hex(n)))
     realNegs.count(n => surf.mayContain(enc(n))).toDouble / realNegs.length

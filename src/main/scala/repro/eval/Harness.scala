@@ -97,8 +97,7 @@ object Harness {
               nPoint: Int = 30000, nRange: Int = 5000,
               negatives: Array[Array[Byte]] = Array.empty): (TreeEvalRow, Double) = {
     val enc = keyCodec(hope)
-    val encodedSorted = keys.map(enc).sortWith(Bytes.compare(_, _) < 0)
-    val surf = Surf(dedupSorted(encodedSorted), suffixBits)
+    val surf = Surf(encodeSorted(keys, enc), suffixBits)
 
     val zipf = new Zipf(keys.length, seed = 31)
     val perm = KeyShuffle.permutation(keys.length, seed = 17)
@@ -131,12 +130,23 @@ object Harness {
       surf.memoryBytes + dictBytes, dictBytes, surf.avgLeafDepth, 1.0), fpr)
   }
 
-  def dedupSorted(sorted: Array[Array[Byte]]): Array[Array[Byte]] = {
+  /** The keys under `enc`, sorted and each once: SuRF's bulk-load input. A
+    * key given twice is kept once.
+    *
+    * @throws IllegalArgumentException if two distinct keys encode equal,
+    *   naming both: the encoding is not injective on them
+    */
+  def encodeSorted(keys: Array[Array[Byte]], enc: Array[Byte] => Array[Byte]): Array[Array[Byte]] = {
+    val sorted = keys.map(k => (enc(k), k)).sortWith((a, b) => Bytes.compare(a._1, b._1) < 0)
     val out = new scala.collection.mutable.ArrayBuffer[Array[Byte]](sorted.length)
-    var i = 0
-    while (i < sorted.length) {
-      if (i == 0 || Bytes.compare(sorted(i - 1), sorted(i)) != 0) out += sorted(i)
-      i += 1
+    for (i <- sorted.indices) {
+      val (e, k) = sorted(i)
+      if (i == 0 || Bytes.compare(sorted(i - 1)._1, e) != 0) out += e
+      else {
+        val prev = sorted(i - 1)._2
+        require(Bytes.compare(prev, k) == 0,
+          s"keys ${Bytes.hex(prev)} and ${Bytes.hex(k)} both encode to ${Bytes.hex(e)}")
+      }
     }
     out.toArray
   }

@@ -2,6 +2,8 @@ package repro.surf
 
 import scala.collection.mutable.ArrayBuffer
 
+import repro.core.Bytes
+
 /** SuRF — the Succinct Range Filter [Zhang et al., SIGMOD'18] on which the
   * paper's Figure 10/11 experiments run. This reproduction uses LOUDS-SPARSE
   * throughout (see DESIGN.md §3): the trie stores each key's minimal
@@ -143,9 +145,16 @@ object Surf {
 
   /** Build from sorted, distinct keys, keeping `suffixBits` ∈ 0…8 real key
     * bits per leaf (the Figure 11 sweep; we store one byte and mask).
+    *
+    * @throws IllegalArgumentException if the keys are not strictly
+    *   ascending, naming the first key that is not above the one before it
     */
   def apply(sortedKeys: Array[Array[Byte]], suffixBits: Int = 0): Surf = {
     require(0 <= suffixBits && suffixBits <= 8, s"suffixBits must be in 0..8, got $suffixBits")
+    for (i <- 1 until sortedKeys.length)
+      require(Bytes.compare(sortedKeys(i - 1), sortedKeys(i)) < 0,
+        s"keys must be sorted and distinct: key $i (${Bytes.hex(sortedKeys(i))}) " +
+          s"is not above key ${i - 1} (${Bytes.hex(sortedKeys(i - 1))})")
     val labels = new ArrayBuffer[Byte]
     val hasChildB = new ArrayBuffer[Boolean]
     val loudsB = new ArrayBuffer[Boolean]

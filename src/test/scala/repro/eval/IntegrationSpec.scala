@@ -79,7 +79,7 @@ class IntegrationSpec extends AnyFunSuite {
     test(s"SuRF + $schemeName: membership and ranges have no false negatives") {
       val hope = hopes(schemeName)
       val enc = Harness.keyCodec(hope)
-      val sorted = Harness.dedupSorted(keys.map(enc).sortWith(Bytes.compare(_, _) < 0))
+      val sorted = Harness.encodeSorted(keys, enc)
       val surf = Surf(sorted, suffixBits = 8)
       keys.take(1500).foreach(k => assert(surf.mayContain(enc(k)), Bytes.str(k)))
       keys.take(500).foreach { k =>
@@ -87,6 +87,14 @@ class IntegrationSpec extends AnyFunSuite {
         assert(surf.mayContainRange(enc(k), enc(hi)), Bytes.str(k))
       }
     }
+  }
+
+  test("Harness.encodeSorted keeps a repeated key once and fails when distinct keys encode equal") {
+    val once = Harness.encodeSorted(Array("b", "a", "b").map(Bytes.of), identity)
+    assert(once.map(Bytes.str).toSeq == Seq("a", "b"))
+    val e = intercept[IllegalArgumentException](
+      Harness.encodeSorted(Array("ab", "b", "ac").map(Bytes.of), _.take(1)))
+    assert(e.getMessage.contains("6162") && e.getMessage.contains("6163"), e.getMessage)
   }
 
   test("Harness.runTree produces sane metrics") {

@@ -101,6 +101,13 @@ class SurfSpec extends AnyFunSuite {
       assertThrows[IllegalArgumentException](Surf(keys, suffixBits = bits))
   }
 
+  test("unsorted or duplicate keys are rejected, naming the first offending index and both keys") {
+    val unsorted = intercept[IllegalArgumentException](Surf(Array("a", "c", "b", "a").map(Bytes.of)))
+    assert(unsorted.getMessage.contains("key 2 (62) is not above key 1 (63)"), unsorted.getMessage)
+    val duplicate = intercept[IllegalArgumentException](Surf(Array("a", "b", "b").map(Bytes.of)))
+    assert(duplicate.getMessage.contains("key 2 (62) is not above key 1 (62)"), duplicate.getMessage)
+  }
+
   test("range query rejects ranges far below the smallest key") {
     val keys = sortedDistinct((0 until 200).map(i => Bytes.of(s"m$i")))
     val surf = Surf(keys)

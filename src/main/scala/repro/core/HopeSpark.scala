@@ -1,11 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.{Expression, UnaryExpression}
+import org.apache.spark.sql.catalyst.expressions.{ExpectsInputTypes, Expression, UnaryExpression}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.classic.ColumnConversions
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.hope.ExpressionColumn
+import org.apache.spark.sql.hope.{BinaryOrderedString, ExpressionColumn}
 import org.apache.spark.sql.types.{BinaryType, DataType}
 import org.apache.spark.unsafe.types.UTF8String
 
@@ -14,10 +14,14 @@ import org.apache.spark.unsafe.types.UTF8String
   * equals raw-key order for NUL-free keys, see [[Axis]]). The dictionary is
   * immutable after the build phase, so the expression is a pure function and
   * serializes with the plan (DESIGN.md: Expression extension point).
+  *
+  * The input must be a string whose collation orders by bytes: any other
+  * type or collation fails at analysis, naming `hope_encode`.
   */
 final case class HopeEncodeExpression(child: Expression, hope: BuiltHope)
-    extends UnaryExpression with CodegenFallback {
+    extends UnaryExpression with ExpectsInputTypes with CodegenFallback {
 
+  override def inputTypes = Seq(BinaryOrderedString)
   override def dataType: DataType = BinaryType
   override def nullable: Boolean = child.nullable
 

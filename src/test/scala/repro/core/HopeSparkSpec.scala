@@ -58,6 +58,27 @@ class HopeSparkSpec extends SparkSpec {
     }
   }
 
+  test("hope_encode rejects a non-string column and a non-binary collation at analysis") {
+    import org.apache.spark.sql.AnalysisException
+    val ints = spark.range(5).toDF("k")
+    val notString = intercept[AnalysisException](HopeSpark.encodeColumn(ints, "k", hope))
+    assert(notString.getMessage.contains("hope_encode"), notString.getMessage)
+    val fn = HopeSpark.registerSql(spark, "typed", hope)
+    ints.createOrReplaceTempView("typed_ints")
+    val inSql = intercept[AnalysisException](spark.sql(s"select $fn(k) from typed_ints"))
+    assert(inSql.getMessage.contains("hope_encode"), inSql.getMessage)
+    for (collation <- Seq("UTF8_LCASE", "UNICODE", "UNICODE_CI", "UTF8_BINARY_RTRIM")) {
+      val df = emailDf.select(collate(col("k"), collation).as("k"))
+      val e = intercept[AnalysisException](HopeSpark.encodeColumn(df, "k", hope))
+      assert(e.getMessage.contains("hope_encode") && e.getMessage.contains(collation), e.getMessage)
+    }
+    // an explicit UTF8_BINARY collation is the default one: same bytes
+    val plain = HopeSpark.encodeColumn(emailDf, "k", hope).select(hex(col("k_enc"))).collect()
+    val binary = HopeSpark.encodeColumn(emailDf.select(collate(col("k"), "UTF8_BINARY").as("k")), "k", hope)
+      .select(hex(col("k_enc"))).collect()
+    assert(binary.toSeq == plain.toSeq)
+  }
+
   test("encodeColumn leaves the session's function registry unchanged") {
     val registry = spark.sessionState.functionRegistry
     val before = registry.listFunction().size

@@ -6,8 +6,8 @@ import org.apache.spark.sql.types.StringType
 /** The input type of `hope_encode`: strings whose collation orders them by
   * their UTF-8 bytes (UTF8_BINARY). The encoding keeps byte order, so under
   * any other collation the encoded order would disagree with the column's.
-  * `acceptsStringType` is private to `org.apache.spark.sql`, so this type
-  * lives under that package.
+  * `StringType.supportsBinaryOrdering` is private to `org.apache.spark.sql`,
+  * so this type lives under that package.
   */
 case object BinaryOrderedString extends AbstractStringType(supportsTrimCollation = false) {
   override def acceptsStringType(other: StringType): Boolean = other.supportsBinaryOrdering
